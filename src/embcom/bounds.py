@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, Position, SceneConfig, steering_vector
+from .arrays import ArrayConfig, SceneConfig
 from .codebook import hexagonal_design, lambert_w0, xi_h_factor
 from .field import dnec_mainlobe, necessary_separation_dnec
 
 __all__ = [
     "BoundReport", "binary_entropy", "info_bound_universal",
-    "info_bound_support", "geo_bound", "geo_bound_mainlobe",
+    "info_bound_support", "packing_rate", "geo_bound", "geo_bound_mainlobe",
     "optimal_snapshots", "closed_form_rate", "compute_bounds",
 ]
 
@@ -166,14 +166,16 @@ def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int, gap_tol_bits: flo
 
 
 def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> np.ndarray:
+    """Steering vectors of the grid_n x grid_n support grid (z varies fastest),
+    built in place as one outer product of the per-axis phase vectors."""
     ys = np.linspace(-scene.extent_y / 2, scene.extent_y / 2, grid_n)
     zs = np.linspace(-scene.extent_z / 2, scene.extent_z / 2, grid_n)
+    py = np.exp(1j * np.pi * (ys / scene.distance_d)[:, None] * np.arange(array.m_y))
+    pz = np.exp(1j * np.pi * (zs / scene.distance_d)[:, None] * np.arange(array.m_z))
     atoms = np.empty((grid_n * grid_n, array.m_total), dtype=complex)
-    i = 0
-    for y in ys:
-        for z in zs:
-            atoms[i] = steering_vector(Position(y, z), array, scene)
-            i += 1
+    np.multiply(py[:, None, :, None], pz[None, :, None, :],
+                out=atoms.reshape(grid_n, grid_n, array.m_y, array.m_z))
+    atoms /= np.sqrt(array.m_total)
     return atoms
 
 
@@ -217,10 +219,19 @@ def packing_count(extent_y: float, extent_z: float, d_nec: float) -> float:
     return (extent_y * extent_z + (extent_y + extent_z) * d_nec + disk) / disk
 
 
+def packing_rate(d_nec: float, scene: SceneConfig) -> float:
+    """Disk-packing converse log2(J_max)/(L T_p) at separation d_nec.  An
+    unbounded separation admits a single codeword: 0 bits."""
+    if not math.isfinite(d_nec):
+        return 0.0
+    j_max = packing_count(scene.extent_y, scene.extent_z, float(d_nec))
+    return math.log2(j_max) / (scene.snapshots_l * scene.pulse_duration_tp)
+
+
 def geo_bound(eps: float, scene: SceneConfig, array: ArrayConfig,
               n_rays: int = 720, tol: float = 1e-5) -> float:
-    """Disk-packing converse log2(J_max)/(L T_p) with J_max from the necessary
-    Euclidean separation.  When no in-plane displacement reaches the necessary
+    """Disk-packing converse with J_max from the necessary Euclidean
+    separation.  When no in-plane displacement reaches the necessary
     threshold the separation is unbounded, no two codewords can coexist, and
     the bound is 0 bits."""
     if not 0 < eps < 0.5:
@@ -230,9 +241,7 @@ def geo_bound(eps: float, scene: SceneConfig, array: ArrayConfig,
     if not math.isfinite(d_nec):
         warnings.warn("necessary separation exceeds the plane diameter; "
                       "only a single codeword is admissible", stacklevel=2)
-        return 0.0
-    j_max = packing_count(scene.extent_y, scene.extent_z, d_nec)
-    return math.log2(j_max) / (scene.snapshots_l * scene.pulse_duration_tp)
+    return packing_rate(d_nec, scene)
 
 
 def geo_bound_mainlobe(eps: float, scene: SceneConfig, array: ArrayConfig) -> float:
@@ -240,9 +249,7 @@ def geo_bound_mainlobe(eps: float, scene: SceneConfig, array: ArrayConfig) -> fl
     d = sqrt(log(1/(4 eps(1-eps))) / (2 kappa L alpha_max))."""
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-    d = dnec_mainlobe(eps, scene.snapshots_l, array, scene)
-    j_max = packing_count(scene.extent_y, scene.extent_z, d)
-    return math.log2(j_max) / (scene.snapshots_l * scene.pulse_duration_tp)
+    return packing_rate(dnec_mainlobe(eps, scene.snapshots_l, array, scene), scene)
 
 
 # --- optimal snapshot count ------------------------------------------------------
@@ -300,16 +307,11 @@ def compute_bounds(eps: float, scene: SceneConfig, array: ArrayConfig,
     """Assemble every converse at one operating point."""
     d_nec = necessary_separation_dnec(eps, scene.snapshots_l, array, scene,
                                       n_rays=n_rays, tol=tol)
-    if math.isfinite(d_nec):
-        c_geo = math.log2(packing_count(scene.extent_y, scene.extent_z, d_nec)) \
-            / (scene.snapshots_l * scene.pulse_duration_tp)
-    else:
-        c_geo = 0.0
     l_cont, l_int = optimal_snapshots(eps, scene, array)
     return BoundReport(
         c_info_universal=info_bound_universal(eps, scene, array),
         c_info_support=info_bound_support(eps, scene, array, grid_n, fw_iters),
-        c_geo=c_geo,
+        c_geo=packing_rate(d_nec, scene),
         c_geo_mainlobe=geo_bound_mainlobe(eps, scene, array),
         d_nec_m=d_nec,
         l_star_continuous=l_cont,

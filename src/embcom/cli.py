@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (binary_entropy, geo_bound_mainlobe, info_bound_support,
-                     optimal_snapshots, packing_count, snap_info_universal)
+                     optimal_snapshots, packing_rate, snap_info_universal)
 from .codebook import (codebook_from_csv, codebook_to_csv, greedy_packing_baseline,
                        hexagonal_design, verify_codebook)
 from .config import RunConfig, load_config, resolved_items
 from .field import (bhattacharyya_grid, bhattacharyya_quadratic_grid,
-                    necessary_separation_dnec, quadratic_params)
+                    necessary_separations, quadratic_params)
 from .simulate import estimate_errors
 from .sweep import db_to_linear, lstar_sweep, rate_sweep
 
@@ -156,7 +156,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     array, scene, eps = cfg.array, cfg.scene, cfg.eps
     snrs = cfg.get("sweep", "snr_db_list")
     ls = cfg.get("sweep", "l_list")
-    rows = rate_sweep(eps, scene, array, snrs, ls)
+    rows = rate_sweep(eps, scene, array, snrs, ls,
+                      n_rays=cfg.get("solver", "dnec_rays"),
+                      tol=cfg.get("solver", "dnec_tol_m"))
     _write_csv(out / "rate_sweep.csv", cfg,
                ["gamma0_db", "gamma0", "l", "j_hex", "rate_bits_per_pulse",
                 "rate_bits_per_second", "feasible", "c_info_universal",
@@ -196,19 +198,14 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
         # grid-restricted support value; refine the grid before calling a
         # sandwich violation against it a failure
         sup_state = _support_with_refinement(eps, sc0, array, grid_n, fw_iters, gap_tol)
-        for l in ls:
+        d_necs = necessary_separations(eps, ls, array, sc0, n_rays, d_tol)
+        for l, d_nec in zip(ls, d_necs):
             sc = sc0.with_snapshots(int(l))
             _, rep = hexagonal_design(eps, sc, array)
             rate = rep.rate_bits_per_second
             c_univ = (c_univ_snap + binary_entropy(eps) / l) / (
                 (1.0 - eps) * sc.pulse_duration_tp)
-            d_nec = necessary_separation_dnec(eps, int(l), array, sc,
-                                              n_rays=n_rays, tol=d_tol)
-            if math.isfinite(d_nec):
-                c_geo = math.log2(packing_count(sc.extent_y, sc.extent_z, d_nec)) \
-                    / (l * sc.pulse_duration_tp)
-            else:
-                c_geo = 0.0
+            c_geo = packing_rate(d_nec, sc)
             c_geo_ml = geo_bound_mainlobe(eps, sc, array)
             c_sup = (sup_state["c_snap"] + binary_entropy(eps) / l) / (
                 (1.0 - eps) * sc.pulse_duration_tp)

@@ -16,8 +16,8 @@ __all__ = [
     "Displacement", "QuadraticFieldParams", "bhattacharyya_exact",
     "bhattacharyya_grid", "pairwise_error_bound", "quadratic_params",
     "bhattacharyya_quadratic", "forbidden_region_contains",
-    "necessary_separation_dnec", "b_required", "b_codebook", "b_necessary",
-    "field_ceiling",
+    "necessary_separation_dnec", "necessary_separations", "b_required",
+    "b_codebook", "b_necessary", "field_ceiling",
 ]
 
 
@@ -154,54 +154,71 @@ def forbidden_region_contains(delta: Displacement, threshold_b: float,
 
 # --- necessary Euclidean separation ------------------------------------------
 
+def necessary_separations(eps: float, ls, array: ArrayConfig, scene: SceneConfig,
+                          n_rays: int = 720, tol: float = 1e-5) -> np.ndarray:
+    """Necessary separation for every snapshot count in ``ls`` at once.
+
+    The field does not depend on L, only the threshold b_necessary(eps, L)
+    does, so one coarse field grid serves the whole list.  Entry i is the
+    radius of the largest origin-centered ball on which B stays below
+    b_necessary(eps, ls[i]): the first crossing radius along a uniform grid
+    of directions on [0, pi) (the field is even), found by coarse marching
+    plus bisection to ``tol`` meters, minimized over directions.  Rays that
+    never cross within the plane-difference diameter are reported with one
+    warning per L; if no ray crosses, the entry is inf (no two in-plane
+    positions are distinguishable at this eps and L).
+    """
+    return _separations(eps, ls, array, scene, n_rays, tol)
+
+
 def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,
                               scene: SceneConfig, n_rays: int = 720,
                               tol: float = 1e-5) -> float:
-    """Radius of the largest origin-centered ball on which B stays below the
-    necessary threshold b_necessary(eps, l).
+    """Necessary separation at one snapshot count; see necessary_separations."""
+    return float(_separations(eps, (l,), array, scene, n_rays, tol)[0])
 
-    Searches the first crossing radius along a uniform grid of directions on
-    [0, pi) (the field is even) by coarse marching plus bisection to ``tol``
-    meters, and returns the minimum over directions.  Rays that never cross
-    within the plane-difference diameter are reported with a warning; if no
-    ray crosses, returns inf (no two in-plane positions are distinguishable at
-    this eps and L).
-    """
+
+def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
+    # warnings point past this helper and its public wrapper to their caller
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
-    b_target = b_necessary(eps, l)
+    targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
     r_max = float(np.hypot(scene.extent_y, scene.extent_z))
     psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     n_steps = 512
     radii = np.linspace(0.0, r_max, n_steps + 1)
-    dy = np.outer(np.cos(psi), radii)
-    dz = np.outer(np.sin(psi), radii)
-    b = bhattacharyya_grid(dy, dz, array, scene)
-    crossed = b >= b_target
+    # running maximum along each ray: its count of entries below a threshold
+    # is the index of the ray's first coarse crossing (n_steps + 1: none)
+    run_max = bhattacharyya_grid(np.outer(cos_psi, radii),
+                                 np.outer(sin_psi, radii), array, scene)
+    np.maximum.accumulate(run_max, axis=1, out=run_max)
+    first = np.array([np.count_nonzero(run_max < t, axis=1) for t in targets],
+                     dtype=np.intp).reshape(len(targets), n_rays)
 
-    best = np.inf
-    unbounded = 0
-    for i in range(n_rays):
-        hits = np.nonzero(crossed[i])[0]
-        if hits.size == 0:
-            unbounded += 1
-            continue
-        k = hits[0]
-        lo, hi = radii[k - 1], radii[k]
-        c, s = np.cos(psi[i]), np.sin(psi[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if bhattacharyya_grid(mid * c, mid * s, array, scene) >= b_target:
-                hi = mid
-            else:
-                lo = mid
-        best = min(best, hi)
-    if unbounded:
-        warnings.warn(
-            f"{unbounded}/{n_rays} rays never reach the necessary threshold "
-            "within the plane diameter (degenerate or SNR-starved axis)",
-            stacklevel=2)
-    return float(best)
+    # bisect every crossing (L, ray) pair together, each until its own
+    # bracket is within tol
+    li, ri = np.nonzero(first <= n_steps)
+    k = first[li, ri]
+    lo, hi = radii[k - 1], radii[k]
+    c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
+    act = np.nonzero(hi - lo > tol)[0]
+    while act.size:
+        mid = 0.5 * (lo[act] + hi[act])
+        up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
+        hi[act] = np.where(up, mid, hi[act])
+        lo[act] = np.where(up, lo[act], mid)
+        act = act[hi[act] - lo[act] > tol]
+
+    best = np.full(first.shape, np.inf)
+    best[li, ri] = hi
+    for l, unbounded in zip(ls, np.count_nonzero(first > n_steps, axis=1)):
+        if unbounded:
+            warnings.warn(
+                f"{unbounded}/{n_rays} rays never reach the necessary threshold "
+                f"within the plane diameter at L={l} (degenerate or "
+                "SNR-starved axis)", stacklevel=3)
+    return best.min(axis=1)
 
 
 def dnec_mainlobe(eps: float, l: int, array: ArrayConfig, scene: SceneConfig) -> float:

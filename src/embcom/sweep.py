@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig
-from .bounds import (closed_form_rate, geo_bound, info_bound_universal,
-                     optimal_snapshots)
+from .bounds import (closed_form_rate, info_bound_universal, optimal_snapshots,
+                     packing_rate)
 from .codebook import hexagonal_design
+from .field import necessary_separations
 
 __all__ = ["RatePoint", "LstarPoint", "rate_sweep", "lstar_sweep",
            "closed_form_lstar_int", "exhaustive_closed_form_lstar", "db_to_linear"]
@@ -47,11 +48,13 @@ class LstarPoint:
 
 
 def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
-               snr_db_list, l_list) -> list[RatePoint]:
+               snr_db_list, l_list, n_rays: int = 720,
+               tol: float = 1e-5) -> list[RatePoint]:
     """Hexagonal-design achievable rate with the universal information and
     geometric converses at every (gamma0, L) grid point.  Each row records
     whether the lower bound respects both converses and whether the rate is
-    monotone versus the previous SNR at the same L."""
+    monotone versus the previous SNR at the same L.  ``n_rays`` and ``tol``
+    set the necessary-separation ray search behind the geometric converse."""
     snr_db_list = list(snr_db_list)
     l_list = list(l_list)
     if not snr_db_list or not l_list:
@@ -60,11 +63,13 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     prev_rate: dict[int, float] = {}
     for db in snr_db_list:
         g0 = db_to_linear(db)
-        for l in l_list:
-            scene = scene_template.with_snr(g0).with_snapshots(int(l))
+        snr_scene = scene_template.with_snr(g0)
+        d_necs = necessary_separations(eps, l_list, array, snr_scene, n_rays, tol)
+        for l, d_nec in zip(l_list, d_necs):
+            scene = snr_scene.with_snapshots(int(l))
             _, rep = hexagonal_design(eps, scene, array)
             c_univ = info_bound_universal(eps, scene, array)
-            c_geo = geo_bound(eps, scene, array)
+            c_geo = packing_rate(d_nec, scene)
             ok = (rep.rate_bits_per_second <= c_univ + 1e-12
                   and rep.rate_bits_per_second <= c_geo + 1e-12)
             mono = rep.rate_bits_per_pulse >= prev_rate.get(int(l), 0.0) - 1e-12

@@ -151,6 +151,26 @@ def test_bounds_csv(tmp_path):
     assert rate <= univ and rate <= geo and sup <= univ
 
 
+def _csv_column(path, name):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    col = lines[0].split(",").index(name)
+    return [l.split(",")[col] for l in lines[1:]]
+
+
+def test_sweep_and_bounds_agree_on_c_geo(tmp_path):
+    # a coarse bisection tolerance moves d_nec, so both commands must honour
+    # the [solver] ray-search keys for their c_geo columns to match
+    args = ["--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5,20",
+            "--set", "solver.dnec_tol_m=1e-2", "--set", "solver.support_grid_n=11"]
+    assert run(tmp_path, *args, "sweep") == 0
+    assert run(tmp_path, *args, "bounds") == 0
+    c_geo = _csv_column(tmp_path / "rate_sweep.csv", "c_geo")
+    assert len(c_geo) == 2
+    assert c_geo == _csv_column(tmp_path / "bounds.csv", "c_geo")
+    d_nec = float(_csv_column(tmp_path / "bounds.csv", "d_nec")[0])
+    assert d_nec == pytest.approx(0.30383, abs=1e-5)  # 0.29916 at the default tol
+
+
 def test_lstar_command(tmp_path):
     assert run(tmp_path, "--set", "sweep.snr_db_list=15,20", "lstar") == 0
     text = (tmp_path / "lstar.csv").read_text()

@@ -1,14 +1,17 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from embcom.arrays import ArrayConfig, Displacement, Position, SceneConfig, steering_vector
 from embcom.field import (b_codebook, b_necessary, b_required,
-                          bhattacharyya_exact, bhattacharyya_quadratic,
-                          dnec_mainlobe, field_ceiling,
+                          bhattacharyya_exact, bhattacharyya_grid,
+                          bhattacharyya_quadratic, dnec_mainlobe, field_ceiling,
                           forbidden_region_contains, necessary_separation_dnec,
-                          pairwise_error_bound, quadratic_params)
+                          necessary_separations, pairwise_error_bound,
+                          quadratic_params)
 
 NULL_B_G10 = 1.1856236656577395  # log(36/11), field value at a kernel null
 
@@ -188,3 +191,95 @@ def test_dnec_unbounded_reports_inf(ref_array, ref_scene):
     with pytest.warns(UserWarning):
         d = necessary_separation_dnec(1e-3, 5, ref_array, sc, n_rays=45)
     assert math.isinf(d)
+
+
+# --- batched ray search against the per-ray scalar bisection ------------------
+
+DEFAULT_L_LIST = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40)
+UNREACHED = re.compile(r"^(\d+)/(\d+) rays never reach the necessary threshold "
+                       r".* at L=(\d+) ")
+
+
+def dnec_reference(eps, l, array, scene, n_rays=720, tol=1e-5):
+    """Per-ray scalar search: coarse march, then bisect each ray on its own.
+    Returns (separation, number of rays that never cross)."""
+    b_target = b_necessary(eps, l)
+    r_max = float(np.hypot(scene.extent_y, scene.extent_z))
+    psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
+    radii = np.linspace(0.0, r_max, 513)
+    crossed = bhattacharyya_grid(np.outer(np.cos(psi), radii),
+                                 np.outer(np.sin(psi), radii),
+                                 array, scene) >= b_target
+    best, unbounded = math.inf, 0
+    for i in range(n_rays):
+        hits = np.nonzero(crossed[i])[0]
+        if hits.size == 0:
+            unbounded += 1
+            continue
+        k = hits[0]
+        lo, hi = radii[k - 1], radii[k]
+        c, s = np.cos(psi[i]), np.sin(psi[i])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if bhattacharyya_grid(mid * c, mid * s, array, scene) >= b_target:
+                hi = mid
+            else:
+                lo = mid
+        best = min(best, hi)
+    return float(best), unbounded
+
+
+def check_against_reference(ls, array, scene, n_rays=720):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = necessary_separations(1e-3, ls, array, scene, n_rays=n_rays)
+    ref = [dnec_reference(1e-3, l, array, scene, n_rays) for l in ls]
+    assert got.shape == (len(ls),)
+    assert got.tolist() == [d for d, _ in ref]  # exact, inf == inf
+    reported = {}
+    for w in caught:
+        m = UNREACHED.match(str(w.message))
+        assert m, str(w.message)
+        assert w.filename == __file__  # attributed to the caller
+        reported[int(m.group(3))] = (int(m.group(1)), int(m.group(2)))
+    assert reported == {l: (u, n_rays) for l, (_, u) in zip(ls, ref) if u}
+    return got, ref
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 40.0])
+def test_batched_dnec_matches_reference_over_l_list(ref_array, ref_scene, snr_db):
+    check_against_reference(DEFAULT_L_LIST, ref_array,
+                            ref_scene.with_snr(10.0 ** (snr_db / 10.0)))
+
+
+def test_batched_dnec_matches_reference_degenerate_axis(ref_scene):
+    # m_z = 1: no resolution along z, so the rays near psi = pi/2 never cross
+    _, ref = check_against_reference((2, 5, 20), ArrayConfig(64, 1),
+                                     ref_scene.with_snr(100.0), n_rays=90)
+    assert all(0 < u < 90 for _, u in ref)
+
+
+@pytest.mark.parametrize("n_rays", [1, 45])
+def test_batched_dnec_matches_reference_ray_counts(ref_array, ref_scene, n_rays):
+    check_against_reference((1, 5, 40), ref_array, ref_scene.with_snr(100.0),
+                            n_rays=n_rays)
+
+
+def test_batched_dnec_partially_unbounded_batch(ref_array, ref_scene):
+    # at 10 dB: L=1 never crosses, L=5 loses some rays, L=40 loses none
+    got, ref = check_against_reference((1, 5, 40), ref_array, ref_scene,
+                                       n_rays=90)
+    unbounded = [u for _, u in ref]
+    assert unbounded[0] == 90 and 0 < unbounded[1] < 90 and unbounded[2] == 0
+    assert math.isinf(got[0]) and math.isfinite(got[1])
+
+
+def test_scalar_dnec_wraps_batch(ref_array, ref_scene):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = necessary_separation_dnec(1e-3, 5, ref_array, ref_scene, n_rays=90)
+    assert d == dnec_reference(1e-3, 5, ref_array, ref_scene, 90)[0]
+    assert [w.filename for w in caught] == [__file__]
+    assert necessary_separations(1e-3, (), ref_array, ref_scene).shape == (0,)
+    with pytest.raises(ValueError):
+        necessary_separations(1e-3, (5,), ref_array, ref_scene, n_rays=0)
