@@ -11,9 +11,8 @@ that validates every analytic bound.
 from .arrays import (ArrayConfig, Displacement, Position, SceneConfig,
                      position_to_angles, steering_correlation_exact,
                      steering_vector)
-from .bounds import (BoundReport, binary_entropy, compute_bounds, geo_bound,
-                     geo_bound_mainlobe, info_bound_support,
-                     info_bound_universal, optimal_snapshots)
+from .bounds import (binary_entropy, geo_bound, geo_bound_mainlobe,
+                     info_bound_support, info_bound_universal, optimal_snapshots)
 from .codebook import (Codebook, DesignReport, LatticeGenerator,
                        greedy_packing_baseline, hexagonal_design, lambert_w0,
                        make_codebook, truncate_lattice, verify_codebook)
@@ -23,6 +22,6 @@ from .field import (QuadraticFieldParams, b_codebook, b_necessary, b_required,
                     pairwise_error_bound, quadratic_params)
 from .simulate import (SimReport, SnapshotBatch, draw_channel_use,
                        estimate_errors, ml_decode)
-from .sweep import lstar_sweep, rate_sweep
+from .sweep import bound_sweep, lstar_sweep, rate_sweep
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@ closed-form steering correlation kernel."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,14 +82,10 @@ class SceneConfig:
         return self.snr_gamma0 * self.noise_var_sigma2
 
     def with_snr(self, gamma0: float) -> "SceneConfig":
-        return SceneConfig(self.distance_d, self.extent_y, self.extent_z,
-                           gamma0, self.noise_var_sigma2, self.snapshots_l,
-                           self.pulse_duration_tp, self.far_field_ratio)
+        return replace(self, snr_gamma0=gamma0)
 
     def with_snapshots(self, l: int) -> "SceneConfig":
-        return SceneConfig(self.distance_d, self.extent_y, self.extent_z,
-                           self.snr_gamma0, self.noise_var_sigma2, l,
-                           self.pulse_duration_tp, self.far_field_ratio)
+        return replace(self, snapshots_l=l)
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,7 @@ def steering_correlation_exact(delta: Displacement, array: ArrayConfig,
     1 at zero displacement and 0 at kernel nulls (multiples of 2D/M on that
     axis).
     """
-    ey = _dirichlet_sq(delta.dy, array.m_y, scene.distance_d)
-    ez = _dirichlet_sq(delta.dz, array.m_z, scene.distance_d)
-    return float(ey * ez)
+    return float(steering_correlation_grid(delta.dy, delta.dz, array, scene))
 
 
 def steering_correlation_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig,
@@ -174,6 +168,10 @@ def steering_correlation_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig
     ey = _dirichlet_sq(dy, array.m_y, scene.distance_d)
     ez = _dirichlet_sq(dz, array.m_z, scene.distance_d)
     return ey * ez
+
+
+def db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
 
 
 def gamma0_from_link_budget(transmit_energy: float, illumination_gain: float,

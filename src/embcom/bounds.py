@@ -6,18 +6,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig
-from .codebook import hexagonal_design, lambert_w0, xi_h_factor
+from .codebook import _hexagonal_size_cont, hexagonal_design, xi_h_factor
 from .field import dnec_mainlobe, necessary_separation_dnec
 
 __all__ = [
-    "BoundReport", "binary_entropy", "info_bound_universal",
-    "info_bound_support", "packing_rate", "geo_bound", "geo_bound_mainlobe",
-    "optimal_snapshots", "closed_form_rate", "compute_bounds",
+    "binary_entropy", "fano_bound", "snap_info_universal", "snap_info_support",
+    "info_bound_universal", "info_bound_support", "packing_rate", "geo_bound",
+    "geo_bound_mainlobe", "stationary_snapshots", "optimal_snapshots",
+    "closed_form_rate",
 ]
 
 
@@ -29,6 +29,13 @@ def binary_entropy(eps: float) -> float:
     if eps in (0.0, 1.0):
         return 0.0
     return float(-eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps))
+
+
+def fano_bound(c_snap_bits: float, eps: float, scene: SceneConfig) -> float:
+    """Fano converse (C_snap + h2(eps)/L) / ((1-eps) T_p) from a per-snapshot
+    information value in bits."""
+    return (c_snap_bits + binary_entropy(eps) / scene.snapshots_l) / (
+        (1.0 - eps) * scene.pulse_duration_tp)
 
 
 def snap_info_universal(scene: SceneConfig, array: ArrayConfig) -> float:
@@ -43,9 +50,7 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
     (C_univ + h2(eps)/L) / ((1-eps) T_p)."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    c = snap_info_universal(scene, array)
-    return (c + binary_entropy(eps) / scene.snapshots_l) / (
-        (1.0 - eps) * scene.pulse_duration_tp)
+    return fano_bound(snap_info_universal(scene, array), eps, scene)
 
 
 # --- support-constrained bound via Frank-Wolfe --------------------------------
@@ -74,8 +79,7 @@ class _ActiveSetLogDet:
             return 0.0
         sw = np.sqrt(np.maximum(w, 0.0))
         h = np.eye(len(w)) + self.g0 * (sw[:, None] * self._gram_act() * sw[None, :])
-        sign, val = np.linalg.slogdet(h)
-        return float(val)
+        return float(np.linalg.slogdet(h)[1])
 
     def add_atom(self, k: int) -> int:
         if k in self.idx:
@@ -101,11 +105,10 @@ class _ActiveSetLogDet:
         """Eigenvalues of M0^-1 (M1 - M0) for the segment toward atom ``pos``
         of the active list, reduced to the active subspace."""
         act = self.idx
-        v_cols = act
-        gram_full = self.cross[:, v_cols]  # r x r
+        gram_full = self.cross[:, act]  # r x r
         live = self.w > 1e-300
         if np.any(live):
-            c_live = self.cross[live][:, v_cols]
+            c_live = self.cross[live][:, act]
             b_inv = np.diag(1.0 / (self.g0 * self.w[live]))
             gram_live = self.cross[live][:, [act[i] for i in np.nonzero(live)[0]]]
             sol = np.linalg.solve(b_inv + gram_live, c_live)
@@ -122,24 +125,15 @@ class _ActiveSetLogDet:
         self.w[pos] += t
 
 
-def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int, gap_tol_bits: float,
-                 init: tuple[list[int], np.ndarray] | None = None):
+def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int, gap_tol_bits: float):
     state = _ActiveSetLogDet(atoms, gamma0)
-    if init is None:
-        p0 = state.add_atom(0)
-        state.w[p0] = 1.0
-    else:
-        for k, wk in zip(*init):
-            p = state.add_atom(k)
-            state.w[p] = wk
-        state.w /= state.w.sum()
+    p0 = state.add_atom(0)
+    state.w[p0] = 1.0
     gap_nats = math.inf
     for _ in range(iters):
         s = state.scores()
         k_best = int(np.argmax(s))          # ties: lowest grid index wins
-        live = state.w > 0
-        act_scores = s[[state.idx[i] for i in range(len(state.idx))]]
-        trace_q = float(np.dot(state.w, act_scores))
+        trace_q = float(np.dot(state.w, s[state.idx]))
         gap_nats = gamma0 * (float(s[k_best]) - trace_q)
         if gap_nats / math.log(2) <= gap_tol_bits:
             break
@@ -179,36 +173,37 @@ def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> n
     return atoms
 
 
-def info_bound_support(eps: float, scene: SceneConfig, array: ArrayConfig,
-                       grid_n: int = 41, fw_iters: int = 200,
-                       gap_tol_bits: float = 1e-6,
-                       init: tuple[list[int], np.ndarray] | None = None,
-                       return_state: bool = False):
-    """Grid-restricted estimate of the support-constrained Fano converse.
+def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
+                      fw_iters: int = 200, gap_tol_bits: float = 1e-6) -> float:
+    """Grid-restricted per-snapshot information of the support-constrained
+    converse, in bits.
 
     The supremum of log2 det(I + g Q)/(1+g) over covariance mixtures from the
     plane is approximated on a grid_n x grid_n position grid by conditional
     gradient with exact line search.  Grid restriction lower-estimates the
-    true supremum, so the value is labeled grid-restricted and never used as
-    the binding converse.
+    true supremum, so the value is labeled grid-restricted.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     atoms = support_grid_atoms(scene, array, grid_n)
     state, converged, gap_bits = _fw_maximize(atoms, scene.snr_gamma0,
-                                              fw_iters, gap_tol_bits, init)
+                                              fw_iters, gap_tol_bits)
     if not converged:
         warnings.warn(
             f"support-bound solver stopped at duality gap {gap_bits:.3g} bits "
             f"after {fw_iters} iterations", stacklevel=2)
-    c_snap = state.objective_nats() / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
-    value = (c_snap + binary_entropy(eps) / scene.snapshots_l) / (
-        (1.0 - eps) * scene.pulse_duration_tp)
-    if return_state:
-        return value, state
-    return value
+    return state.objective_nats() / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
+
+
+def info_bound_support(eps: float, scene: SceneConfig, array: ArrayConfig,
+                       grid_n: int = 41, fw_iters: int = 200,
+                       gap_tol_bits: float = 1e-6) -> float:
+    """Fano converse with the grid-restricted support-constrained
+    per-snapshot value of snap_info_support."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0,1), got {eps}")
+    return fano_bound(snap_info_support(scene, array, grid_n, fw_iters,
+                                        gap_tol_bits), eps, scene)
 
 
 # --- geometric packing bound ---------------------------------------------------
@@ -258,28 +253,32 @@ def closed_form_rate(l: int, eps: float, scene: SceneConfig,
                      array: ArrayConfig) -> float:
     """Smooth closed-form normalized rate log2(Xi_h L / W0(Xi_h L/eps))/(L T_p),
     zero whenever the sized alphabet falls below two words."""
-    xl = xi_h_factor(scene, array) * l
-    j = xl / lambert_w0(xl / eps)
+    j = _hexagonal_size_cont(eps, l, scene, array)
     if j < 2.0:
         return 0.0
     return math.log2(j) / (l * scene.pulse_duration_tp)
+
+
+def stationary_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig) -> float:
+    """Stationary point of the closed-form rate,
+    L = (eps/Xi_h) y* e^{y*} with y* = (q + sqrt(q^2 + 4q))/2, q = -log eps."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0,1), got {eps}")
+    q = -math.log(eps)
+    y_star = 0.5 * (q + math.sqrt(q * q + 4.0 * q))
+    return (eps / xi_h_factor(scene, array)) * y_star * math.exp(y_star)
 
 
 def optimal_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig,
                       window: int = 2) -> tuple[float, int]:
     """Stationary point of the closed-form rate and its integer refinement.
 
-    The continuous optimum is L = (eps/Xi_h) y* e^{y*} with
-    y* = (q + sqrt(q^2 + 4q))/2, q = -log eps.  The integer value re-evaluates
-    the exact hexagonal-design rate on every integer within ``window`` of the
-    stationary point (clamped to L >= 1); ties prefer the smaller L.
+    The continuous optimum is stationary_snapshots.  The integer value
+    re-evaluates the exact hexagonal-design rate on every integer within
+    ``window`` of the stationary point (clamped to L >= 1); ties prefer the
+    smaller L.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-    q = -math.log(eps)
-    y_star = 0.5 * (q + math.sqrt(q * q + 4.0 * q))
-    l_cont = (eps / xi_h_factor(scene, array)) * y_star * math.exp(y_star)
-
+    l_cont = stationary_snapshots(eps, scene, array)
     lo = max(1, math.floor(l_cont) - window)
     hi = max(1, math.ceil(l_cont) + window)
     best_l, best_rate = lo, -1.0
@@ -288,32 +287,3 @@ def optimal_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig,
         if rep.rate_bits_per_pulse > best_rate + 1e-15:
             best_l, best_rate = l, rep.rate_bits_per_pulse
     return float(l_cont), int(best_l)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    c_info_universal: float
-    c_info_support: float
-    c_geo: float
-    c_geo_mainlobe: float
-    d_nec_m: float
-    l_star_continuous: float
-    l_star_integer: int
-
-
-def compute_bounds(eps: float, scene: SceneConfig, array: ArrayConfig,
-                   grid_n: int = 41, fw_iters: int = 200, n_rays: int = 720,
-                   tol: float = 1e-5) -> BoundReport:
-    """Assemble every converse at one operating point."""
-    d_nec = necessary_separation_dnec(eps, scene.snapshots_l, array, scene,
-                                      n_rays=n_rays, tol=tol)
-    l_cont, l_int = optimal_snapshots(eps, scene, array)
-    return BoundReport(
-        c_info_universal=info_bound_universal(eps, scene, array),
-        c_info_support=info_bound_support(eps, scene, array, grid_n, fw_iters),
-        c_geo=packing_rate(d_nec, scene),
-        c_geo_mainlobe=geo_bound_mainlobe(eps, scene, array),
-        d_nec_m=d_nec,
-        l_star_continuous=l_cont,
-        l_star_integer=l_int,
-    )

@@ -12,19 +12,20 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (binary_entropy, geo_bound_mainlobe, info_bound_support,
-                     optimal_snapshots, packing_rate, snap_info_universal)
-from .codebook import (codebook_from_csv, codebook_to_csv, greedy_packing_baseline,
-                       hexagonal_design, verify_codebook)
+from .codebook import (_min_pairwise_b, codebook_from_csv, codebook_to_csv,
+                       greedy_packing_baseline, hexagonal_design, make_codebook,
+                       verify_codebook)
 from .config import RunConfig, load_config, resolved_items
 from .field import (bhattacharyya_grid, bhattacharyya_quadratic_grid,
-                    necessary_separations, quadratic_params)
+                    quadratic_params)
 from .simulate import estimate_errors
-from .sweep import db_to_linear, lstar_sweep, rate_sweep
+from .sweep import (BoundPoint, LstarPoint, RatePoint, bound_sweep, lstar_sweep,
+                    rate_sweep)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,6 +52,12 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_table(path: Path, cfg: RunConfig, row_type, rows) -> None:
+    """CSV of dataclass rows: one column per field of ``row_type``, in order."""
+    _write_csv(path, cfg, [f.name for f in fields(row_type)],
+               [astuple(r) for r in rows])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -155,23 +162,12 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     array, scene, eps = cfg.array, cfg.scene, cfg.eps
     snrs = cfg.get("sweep", "snr_db_list")
-    ls = cfg.get("sweep", "l_list")
-    rows = rate_sweep(eps, scene, array, snrs, ls,
+    rows = rate_sweep(eps, scene, array, snrs, cfg.get("sweep", "l_list"),
                       n_rays=cfg.get("solver", "dnec_rays"),
                       tol=cfg.get("solver", "dnec_tol_m"))
-    _write_csv(out / "rate_sweep.csv", cfg,
-               ["gamma0_db", "gamma0", "l", "j_hex", "rate_bits_per_pulse",
-                "rate_bits_per_second", "feasible", "c_info_universal",
-                "c_geo", "sandwich_ok", "monotone_snr_ok"],
-               [(r.gamma0_db, r.gamma0, r.l, r.j_hex, r.rate_bits_per_pulse,
-                 r.rate_bits_per_second, r.feasible, r.c_info_universal,
-                 r.c_geo, r.sandwich_ok, r.monotone_snr_ok) for r in rows])
-    lrows = lstar_sweep(eps, scene, array, snrs)
-    _write_csv(out / "lstar.csv", cfg,
-               ["gamma0_db", "gamma0", "l_star_cont", "l_star_int",
-                "l_star_closed_int", "l_star_closed_exhaustive"],
-               [(r.gamma0_db, r.gamma0, r.l_star_cont, r.l_star_int,
-                 r.l_star_closed_int, r.l_star_closed_exhaustive) for r in lrows])
+    _write_table(out / "rate_sweep.csv", cfg, RatePoint, rows)
+    _write_table(out / "lstar.csv", cfg, LstarPoint,
+                 lstar_sweep(eps, scene, array, snrs))
     if not all(r.sandwich_ok for r in rows):
         print("sandwich violation: achievable rate exceeds a converse", file=sys.stderr)
         return EXIT_INVARIANT
@@ -179,85 +175,33 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, out: Path) -> int:
-    array, scene, eps = cfg.array, cfg.scene, cfg.eps
-    snrs = cfg.get("sweep", "snr_db_list")
-    ls = cfg.get("sweep", "l_list")
-    grid_n = cfg.get("solver", "support_grid_n")
-    fw_iters = cfg.get("solver", "fw_iters")
-    gap_tol = cfg.get("solver", "fw_gap_tol_bits")
-    n_rays = cfg.get("solver", "dnec_rays")
-    d_tol = cfg.get("solver", "dnec_tol_m")
-
-    rows = []
-    violation = False
-    for db in snrs:
-        g0 = db_to_linear(db)
-        sc0 = scene.with_snr(g0)
-        l_cont, l_int = optimal_snapshots(eps, sc0, array)
-        c_univ_snap = snap_info_universal(sc0, array)
-        # grid-restricted support value; refine the grid before calling a
-        # sandwich violation against it a failure
-        sup_state = _support_with_refinement(eps, sc0, array, grid_n, fw_iters, gap_tol)
-        d_necs = necessary_separations(eps, ls, array, sc0, n_rays, d_tol)
-        for l, d_nec in zip(ls, d_necs):
-            sc = sc0.with_snapshots(int(l))
-            _, rep = hexagonal_design(eps, sc, array)
-            rate = rep.rate_bits_per_second
-            c_univ = (c_univ_snap + binary_entropy(eps) / l) / (
-                (1.0 - eps) * sc.pulse_duration_tp)
-            c_geo = packing_rate(d_nec, sc)
-            c_geo_ml = geo_bound_mainlobe(eps, sc, array)
-            c_sup = (sup_state["c_snap"] + binary_entropy(eps) / l) / (
-                (1.0 - eps) * sc.pulse_duration_tp)
-            if rate > c_sup + 1e-9:
-                sup_state = _support_with_refinement(
-                    eps, sc0, array, sup_state["grid_n"] * 2 - 1, fw_iters, gap_tol)
-                c_sup = (sup_state["c_snap"] + binary_entropy(eps) / l) / (
-                    (1.0 - eps) * sc.pulse_duration_tp)
-            if rate > c_univ + 1e-12 or rate > c_geo + 1e-12 or rate > c_sup + 1e-9:
-                violation = True
-            rows.append((db, g0, int(l), rate, c_univ, c_sup, c_geo, c_geo_ml,
-                         d_nec, l_cont, l_int))
-    _write_csv(out / "bounds.csv", cfg,
-               ["gamma0_db", "gamma0", "l", "rate_lower", "c_info_universal",
-                "c_info_support_grid", "c_geo", "c_geo_mainlobe", "d_nec",
-                "l_star_cont", "l_star_int"], rows)
+    rows, violation = bound_sweep(
+        cfg.eps, cfg.scene, cfg.array, cfg.get("sweep", "snr_db_list"),
+        cfg.get("sweep", "l_list"),
+        n_rays=cfg.get("solver", "dnec_rays"), tol=cfg.get("solver", "dnec_tol_m"),
+        grid_n=cfg.get("solver", "support_grid_n"),
+        fw_iters=cfg.get("solver", "fw_iters"),
+        gap_tol_bits=cfg.get("solver", "fw_gap_tol_bits"))
+    _write_table(out / "bounds.csv", cfg, BoundPoint, rows)
     if violation:
         print("bound violation detected in sweep", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _support_with_refinement(eps, scene, array, grid_n, fw_iters, gap_tol) -> dict:
-    value = info_bound_support(eps, scene, array, grid_n, fw_iters, gap_tol)
-    c_snap = value * (1.0 - eps) * scene.pulse_duration_tp \
-        - binary_entropy(eps) / scene.snapshots_l
-    return {"c_snap": c_snap, "grid_n": grid_n}
-
-
 def cmd_lstar(cfg: RunConfig, out: Path) -> int:
-    array, scene, eps = cfg.array, cfg.scene, cfg.eps
-    rows = lstar_sweep(eps, scene, array, cfg.get("sweep", "snr_db_list"))
-    _write_csv(out / "lstar.csv", cfg,
-               ["gamma0_db", "gamma0", "l_star_cont", "l_star_int",
-                "l_star_closed_int", "l_star_closed_exhaustive"],
-               [(r.gamma0_db, r.gamma0, r.l_star_cont, r.l_star_int,
-                 r.l_star_closed_int, r.l_star_closed_exhaustive) for r in rows])
+    rows = lstar_sweep(cfg.eps, cfg.scene, cfg.array, cfg.get("sweep", "snr_db_list"))
+    _write_table(out / "lstar.csv", cfg, LstarPoint, rows)
     return EXIT_OK
 
 
 def _subsample(cb, cap: int, seed: int, array, scene):
     """Keep the worst (minimum-exponent) pair plus seeded random fill."""
-    from .codebook import make_codebook
     j = len(cb)
     if j <= cap:
         return cb
     pts = cb.as_array()
-    iu, ju = np.triu_indices(j, k=1)
-    b = bhattacharyya_grid(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1],
-                           array, scene)
-    k = int(np.argmin(b))
-    keep = {int(iu[k]), int(ju[k])}
+    keep = set(_min_pairwise_b(pts, array, scene)[1:])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0DE,)))
     rest = [i for i in range(j) if i not in keep]
     fill = rng.permutation(rest)[: cap - len(keep)]
@@ -283,7 +227,6 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
     if corrupt:
         # negative control for the soundness gate: an impossible bound value
         # must always trip the check
-        from dataclasses import replace
         report = replace(report, union_bound_prediction=-1.0,
                          wilson_halfwidth_95=0.0)
     j = len(cb)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,21 +73,27 @@ class DesignReport:
     whitened_spacing: float = 0.0
 
 
-def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig, scene: SceneConfig) -> float:
+def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
+                    scene: SceneConfig) -> tuple[float, int, int]:
+    """Worst pair (b_min, i, k), i < k: the first minimum of the exact field
+    in row-major pair order; (inf, -1, -1) below two points."""
     n = len(pts)
     if n < 2:
-        return math.inf
+        return math.inf, -1, -1
     if n <= 2048:
         iu, ju = np.triu_indices(n, k=1)
         b = bhattacharyya_grid(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1],
                                array, scene)
-        return float(b.min())
+        p = int(np.argmin(b))
+        return float(b[p]), int(iu[p]), int(ju[p])
     # row-chunked scan keeps memory linear for very large codebooks
-    best = math.inf
+    best = (math.inf, -1, -1)
     for i in range(n - 1):
         b = bhattacharyya_grid(pts[i, 0] - pts[i + 1:, 0],
                                pts[i, 1] - pts[i + 1:, 1], array, scene)
-        best = min(best, float(b.min()))
+        p = int(np.argmin(b))
+        if b[p] < best[0]:
+            best = (float(b[p]), i, i + 1 + p)
     return best
 
 
@@ -102,7 +108,7 @@ def make_codebook(positions, array: ArrayConfig, scene: SceneConfig,
         if abs(p.y) > scene.extent_y / 2 + tol or abs(p.z) > scene.extent_z / 2 + tol:
             raise ValueError(f"codeword ({p.y}, {p.z}) lies outside the plane")
     pts = np.array([[p.y, p.z] for p in pos], dtype=float) if pos else np.zeros((0, 2))
-    return Codebook(pos, _min_pairwise_b(pts, array, scene), verified_epsilon)
+    return Codebook(pos, _min_pairwise_b(pts, array, scene)[0], verified_epsilon)
 
 
 def _lattice_points_in_box(gen: np.ndarray, offset: np.ndarray, half_y: float,
@@ -148,7 +154,7 @@ def verify_codebook(cb: Codebook, eps: float, scene: SceneConfig,
     if j < 2:
         return DesignReport(j, 0.0, 0.0, True, math.inf, math.inf, 0.0)
     pts = cb.as_array()
-    b_min = _min_pairwise_b(pts, array, scene)
+    b_min = _min_pairwise_b(pts, array, scene)[0]
     thr = b_codebook(j, eps, l)
     slack = b_min - thr
     rate_pulse = math.log2(j) / l
@@ -286,8 +292,7 @@ def _trim_to(pts: np.ndarray, j_target: int, transform: np.ndarray) -> np.ndarra
     w = pts @ transform.T
     r2 = np.einsum("ij,ij->i", w, w)
     order = np.lexsort((pts[:, 1], pts[:, 0], r2))
-    kept = pts[np.sort(order[:j_target])]
-    return kept
+    return pts[np.sort(order[:j_target])]
 
 
 def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
@@ -343,14 +348,9 @@ def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
                 cb = make_codebook(pts, array, scene)
                 rep = verify_codebook(cb, eps, scene, array)
                 if rep.feasible:
-                    cb = Codebook(cb.positions, cb.min_pairwise_b, eps)
-                    rep = DesignReport(rep.j, rep.rate_bits_per_pulse,
-                                       rep.rate_bits_per_second, True,
-                                       rep.slack_nats, rep.b_min,
-                                       rep.b_threshold, spacing_w)
-                    return cb, rep
-        j_next = min(j_target - 1, int(math.floor(0.95 * j_target)))
-        j_target = j_next
+                    return (replace(cb, verified_epsilon=eps),
+                            replace(rep, whitened_spacing=spacing_w))
+        j_target = min(j_target - 1, int(math.floor(0.95 * j_target)))
 
     cb = make_codebook([(0.0, 0.0)], array, scene, verified_epsilon=eps)
     return cb, verify_codebook(cb, eps, scene, array)
@@ -389,7 +389,7 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     while len(acc) >= 2:
         cb = make_codebook(acc, array, scene)
         if verify_codebook(cb, eps, scene, array).feasible:
-            return Codebook(cb.positions, cb.min_pairwise_b, eps)
+            return replace(cb, verified_epsilon=eps)
         acc = acc[:-1]
     return make_codebook(acc[:1], array, scene, verified_epsilon=eps)
 

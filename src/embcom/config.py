@@ -7,8 +7,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig, SceneConfig
-from .sweep import db_to_linear
+from .arrays import SPEED_OF_LIGHT, ArrayConfig, SceneConfig, db_to_linear
 
 __all__ = ["RunConfig", "load_config", "resolved_items"]
 

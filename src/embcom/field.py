@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (ArrayConfig, Displacement, SceneConfig,
-                     steering_correlation_exact, steering_correlation_grid)
+                     steering_correlation_grid)
 
 __all__ = [
     "Displacement", "QuadraticFieldParams", "bhattacharyya_exact",
@@ -41,8 +41,7 @@ def bhattacharyya_exact(delta: Displacement, array: ArrayConfig,
     with kappa = g^2 / (4 (1 + g)).  Zero at delta = 0, increasing as the
     steering correlation eta drops.
     """
-    eta = steering_correlation_exact(delta, array, scene)
-    return float(np.log1p(_kappa(scene.snr_gamma0) * (1.0 - eta)))
+    return float(bhattacharyya_grid(delta.dy, delta.dz, array, scene))
 
 
 def bhattacharyya_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig,
@@ -135,8 +134,7 @@ def quadratic_params(array: ArrayConfig, scene: SceneConfig) -> QuadraticFieldPa
 
 def bhattacharyya_quadratic(delta: Displacement, params: QuadraticFieldParams) -> float:
     """Surrogate value delta^T G_B delta in nats."""
-    return float(params.kappa * (params.alpha_y * delta.dy ** 2
-                                 + params.alpha_z * delta.dz ** 2))
+    return float(bhattacharyya_quadratic_grid(delta.dy, delta.dz, params))
 
 
 def bhattacharyya_quadratic_grid(dy: np.ndarray, dz: np.ndarray,

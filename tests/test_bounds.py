@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from embcom.arrays import ArrayConfig, Position, SceneConfig, steering_vector
-from embcom.bounds import (_fw_maximize, binary_entropy, compute_bounds,
-                           geo_bound, geo_bound_mainlobe, info_bound_support,
+from embcom.bounds import (_fw_maximize, binary_entropy, geo_bound,
+                           geo_bound_mainlobe, info_bound_support,
                            info_bound_universal, optimal_snapshots,
                            packing_count, snap_info_universal, support_grid_atoms)
 from embcom.codebook import hexagonal_design, xi_h_factor
@@ -172,16 +172,3 @@ def test_lstar_cont_inverse_in_xi(ref_array, ref_scene):
     ratio = xi_h_factor(ref_scene.with_snr(10.0), ref_array) / \
         xi_h_factor(ref_scene.with_snr(100.0), ref_array)
     assert l2 / l1 == pytest.approx(ratio, rel=1e-12)
-
-
-def test_bound_report_ordering(ref_array, ref_scene):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = compute_bounds(1e-3, ref_scene.with_snr(100.0), ref_array,
-                             grid_n=11, fw_iters=200, n_rays=90)
-    assert rep.c_info_support <= rep.c_info_universal + 1e-9
-    assert rep.c_geo >= 0.0 and rep.c_geo_mainlobe >= 0.0
-    _, hex_rep = hexagonal_design(1e-3, ref_scene.with_snr(100.0), ref_array)
-    rate = hex_rep.rate_bits_per_second
-    assert rate <= rep.c_info_universal + 1e-12
-    assert rate <= rep.c_geo + 1e-12

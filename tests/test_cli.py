@@ -146,9 +146,21 @@ def test_bounds_csv(tmp_path):
                                  "l_star_cont", "l_star_int"]
     row = [l for l in text.splitlines()
            if l and not l.startswith(("#", "gamma0_db"))][0].split(",")
-    rate, univ, sup, geo = (float(row[3]), float(row[4]), float(row[5]),
-                            float(row[6]))
+    rate, univ, sup, geo, geo_ml = (float(row[3]), float(row[4]), float(row[5]),
+                                    float(row[6]), float(row[7]))
     assert rate <= univ and rate <= geo and sup <= univ
+    assert geo_ml >= 0.0
+
+
+def test_bounds_support_gate(tmp_path, capsys):
+    # a one-point support grid carries no information and refines to itself,
+    # so the 20 dB rate exceeds the grid-restricted support value: exit 2
+    assert run(tmp_path, "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5",
+               "--set", "solver.dnec_rays=90", "--set", "solver.support_grid_n=1",
+               "bounds") == 2
+    assert "bound violation" in capsys.readouterr().err
+    assert _csv_column(tmp_path / "bounds.csv", "c_info_support_grid") == [
+        "0.0022838353828759914"]
 
 
 def _csv_column(path, name):

@@ -1,8 +1,11 @@
+import warnings
+
 import pytest
 
-from embcom.bounds import optimal_snapshots
+from embcom.bounds import (geo_bound, geo_bound_mainlobe, info_bound_support,
+                           info_bound_universal, optimal_snapshots)
 from embcom.codebook import hexagonal_design
-from embcom.sweep import db_to_linear, lstar_sweep, rate_sweep
+from embcom.sweep import bound_sweep, db_to_linear, lstar_sweep, rate_sweep
 
 SWEEP_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -55,3 +58,27 @@ def test_rate_sweep_rejects_empty_lists(ref_array, ref_scene):
         rate_sweep(1e-3, ref_scene, ref_array, (), (5,))
     with pytest.raises(ValueError):
         rate_sweep(1e-3, ref_scene, ref_array, (10.0,), ())
+
+
+def test_bound_sweep_matches_per_point_calls(ref_array, ref_scene):
+    # oracle: each row equals the library's per-point converses on that L's
+    # scene, and its rate is rate_sweep's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, violation = bound_sweep(1e-3, ref_scene, ref_array, (20.0,), (5, 20),
+                                      n_rays=90, grid_n=11)
+        rates = rate_sweep(1e-3, ref_scene, ref_array, (20.0,), (5, 20), n_rays=90)
+        assert not violation
+        assert [r.l for r in rows] == [5, 20]
+        sc0 = ref_scene.with_snr(db_to_linear(20.0))
+        for row, rate in zip(rows, rates):
+            sc = sc0.with_snapshots(row.l)
+            assert (row.gamma0_db, row.gamma0) == (20.0, sc.snr_gamma0)
+            assert row.rate_lower == rate.rate_bits_per_second
+            assert row.c_info_universal == info_bound_universal(1e-3, sc, ref_array)
+            assert row.c_info_support_grid == info_bound_support(
+                1e-3, sc, ref_array, grid_n=11)
+            assert row.c_geo == geo_bound(1e-3, sc, ref_array, n_rays=90)
+            assert row.c_geo_mainlobe == geo_bound_mainlobe(1e-3, sc, ref_array)
+            assert (row.l_star_cont, row.l_star_int) == optimal_snapshots(
+                1e-3, sc, ref_array)
