@@ -172,3 +172,19 @@ def test_lstar_cont_inverse_in_xi(ref_array, ref_scene):
     ratio = xi_h_factor(ref_scene.with_snr(10.0), ref_array) / \
         xi_h_factor(ref_scene.with_snr(100.0), ref_array)
     assert l2 / l1 == pytest.approx(ratio, rel=1e-12)
+
+
+def test_bound_report_ordering(ref_array, ref_scene):
+    scene = ref_scene.with_snr(100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c_univ = info_bound_universal(1e-3, scene, ref_array)
+        c_sup = info_bound_support(1e-3, scene, ref_array, grid_n=11, fw_iters=200)
+        c_geo = geo_bound(1e-3, scene, ref_array, n_rays=90)
+        c_geo_ml = geo_bound_mainlobe(1e-3, scene, ref_array)
+    assert c_sup <= c_univ + 1e-9
+    assert c_geo >= 0.0 and c_geo_ml >= 0.0
+    _, hex_rep = hexagonal_design(1e-3, scene, ref_array)
+    rate = hex_rep.rate_bits_per_second
+    assert rate <= c_univ + 1e-12
+    assert rate <= c_geo + 1e-12
