@@ -3,6 +3,8 @@ closed-form steering correlation kernel."""
 
 from __future__ import annotations
 
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,6 +170,16 @@ def steering_correlation_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig
     ey = _dirichlet_sq(dy, array.m_y, scene.distance_d)
     ez = _dirichlet_sq(dz, array.m_z, scene.distance_d)
     return ey * ez
+
+
+def _warn(message: str) -> None:
+    """UserWarning attributed to the first frame outside this package: the
+    code that called into the library, however deep the warning is raised."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(
+            __package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def db_to_linear(db: float) -> float:

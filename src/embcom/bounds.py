@@ -5,11 +5,10 @@ disk-packing geometric bound, and the optimal snapshot count."""
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .arrays import ArrayConfig, SceneConfig
+from .arrays import ArrayConfig, SceneConfig, _warn
 from .codebook import _hexagonal_size_cont, hexagonal_design, xi_h_factor
 from .field import dnec_mainlobe, necessary_separation_dnec
 
@@ -189,9 +188,8 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
     state, converged, gap_bits = _fw_maximize(atoms, scene.snr_gamma0,
                                               fw_iters, gap_tol_bits)
     if not converged:
-        warnings.warn(
-            f"support-bound solver stopped at duality gap {gap_bits:.3g} bits "
-            f"after {fw_iters} iterations", stacklevel=2)
+        _warn(f"support-bound solver stopped at duality gap {gap_bits:.3g} "
+              f"bits after {fw_iters} iterations")
     return state.objective_nats() / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
 
 
@@ -234,8 +232,8 @@ def geo_bound(eps: float, scene: SceneConfig, array: ArrayConfig,
     d_nec = necessary_separation_dnec(eps, scene.snapshots_l, array, scene,
                                       n_rays=n_rays, tol=tol)
     if not math.isfinite(d_nec):
-        warnings.warn("necessary separation exceeds the plane diameter; "
-                      "only a single codeword is admissible", stacklevel=2)
+        _warn("necessary separation exceeds the plane diameter; only a single "
+              "codeword is admissible")
     return packing_rate(d_nec, scene)
 
 

@@ -195,18 +195,18 @@ def cmd_lstar(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _subsample(cb, cap: int, seed: int, array, scene):
+def _subsample(cb, cap: int, seed: int):
     """Keep the worst (minimum-exponent) pair plus seeded random fill."""
     j = len(cb)
     if j <= cap:
         return cb
     pts = cb.as_array()
-    keep = set(_min_pairwise_b(pts, array, scene)[1:])
+    keep = set(_min_pairwise_b(pts, cb.array, cb.scene)[1:])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0DE,)))
     rest = [i for i in range(j) if i not in keep]
     fill = rng.permutation(rest)[: cap - len(keep)]
     keep.update(int(i) for i in fill)
-    return make_codebook(pts[sorted(keep)], array, scene)
+    return make_codebook(pts[sorted(keep)], cb.array, cb.scene)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
@@ -221,7 +221,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
         raise ValueError(
             "simulation needs at least 2 codewords; the configured design "
             "yields J=1 (raise the SNR or snapshot count, or pass --codebook)")
-    cb = _subsample(cb, cfg.get("sim", "max_codewords"), seed, array, scene)
+    cb = _subsample(cb, cfg.get("sim", "max_codewords"), seed)
     report = estimate_errors(cb, cfg.get("sim", "trials_per_codeword"),
                              seed, scene, array)
     if corrupt:

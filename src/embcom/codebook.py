@@ -5,12 +5,11 @@ baseline."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, Position, SceneConfig
+from .arrays import ArrayConfig, Position, SceneConfig, _warn
 from .field import (b_codebook, bhattacharyya_grid, field_ceiling,
                     quadratic_params)
 
@@ -48,17 +47,22 @@ class LatticeGenerator:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Finite set of scatterer positions with its verified worst-pair exponent."""
+    """In-plane scatterer positions with the array and scene they belong to."""
 
     positions: tuple[Position, ...]
-    min_pairwise_b: float
-    verified_epsilon: float | None = None
+    array: ArrayConfig
+    scene: SceneConfig
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def as_array(self) -> np.ndarray:
         return np.array([[p.y, p.z] for p in self.positions], dtype=float)
+
+    @property
+    def min_pairwise_b(self) -> float:
+        """Worst-pair exponent of the exact field at this codebook's scene."""
+        return _min_pairwise_b(self.as_array(), self.array, self.scene)[0]
 
 
 @dataclass(frozen=True)
@@ -97,18 +101,16 @@ def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
     return best
 
 
-def make_codebook(positions, array: ArrayConfig, scene: SceneConfig,
-                  verified_epsilon: float | None = None) -> Codebook:
-    """Build a codebook, checking plane membership and recomputing the
-    minimum pairwise exponent from the exact field."""
+def make_codebook(positions, array: ArrayConfig, scene: SceneConfig) -> Codebook:
+    """Build a codebook, checking plane membership only; verify_codebook is
+    the exact reliability check."""
     pos = tuple(Position(float(p[0]), float(p[1])) if not isinstance(p, Position)
                 else p for p in positions)
     tol = 1e-9
     for p in pos:
         if abs(p.y) > scene.extent_y / 2 + tol or abs(p.z) > scene.extent_z / 2 + tol:
             raise ValueError(f"codeword ({p.y}, {p.z}) lies outside the plane")
-    pts = np.array([[p.y, p.z] for p in pos], dtype=float) if pos else np.zeros((0, 2))
-    return Codebook(pos, _min_pairwise_b(pts, array, scene)[0], verified_epsilon)
+    return Codebook(pos, array, scene)
 
 
 def _lattice_points_in_box(gen: np.ndarray, offset: np.ndarray, half_y: float,
@@ -321,9 +323,8 @@ def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
     j_cont = _hexagonal_size_cont(eps, l, scene, array)
     j_fp = hexagonal_size_fixed_point(eps, l, scene, array)
     if abs(j_cont - j_fp) > 1.0:
-        warnings.warn(
-            f"Lambert-W sizing ({j_cont:.3f}) and fixed-point sizing "
-            f"({j_fp:.3f}) disagree by more than one codeword", stacklevel=2)
+        _warn(f"Lambert-W sizing ({j_cont:.3f}) and fixed-point sizing "
+              f"({j_fp:.3f}) disagree by more than one codeword")
 
     # whitened first-basis direction, mapped to the physical plane
     u_w = np.array([math.cos(rotation), math.sin(rotation)])
@@ -348,11 +349,10 @@ def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
                 cb = make_codebook(pts, array, scene)
                 rep = verify_codebook(cb, eps, scene, array)
                 if rep.feasible:
-                    return (replace(cb, verified_epsilon=eps),
-                            replace(rep, whitened_spacing=spacing_w))
+                    return cb, replace(rep, whitened_spacing=spacing_w)
         j_target = min(j_target - 1, int(math.floor(0.95 * j_target)))
 
-    cb = make_codebook([(0.0, 0.0)], array, scene, verified_epsilon=eps)
+    cb = make_codebook([(0.0, 0.0)], array, scene)
     return cb, verify_codebook(cb, eps, scene, array)
 
 
@@ -363,8 +363,10 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     """Deterministic lower-bound heuristic: scan a rectangular candidate grid
     row-major from the plane corner, accept a candidate when its displacement
     to every accepted codeword clears the threshold for the tentative size,
-    then re-verify the final set (threshold grows with J) dropping last-added
-    points until the exact check passes."""
+    then keep the longest prefix that passes the exact check (threshold grows
+    with J).  A prefix's worst pair is the running minimum of the exponents
+    the acceptance test computed; the field is even, so this is the pair
+    verify_codebook finds."""
     if candidate_grid_step <= 0:
         raise ValueError(f"candidate grid step must be > 0, got {candidate_grid_step}")
     l = scene.snapshots_l
@@ -375,23 +377,19 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     zs = -hz + candidate_grid_step * np.arange(nz)
 
     acc = np.zeros((0, 2))
+    b_new = []  # each accepted point's smallest exponent to the earlier ones
     for y in ys:
         for z in zs:
-            j_tentative = len(acc) + 1
-            if j_tentative == 1:
-                acc = np.array([[y, z]])
-                continue
-            thr = b_codebook(j_tentative, eps, l)
+            thr = b_codebook(len(acc) + 1, eps, l)
             b = bhattacharyya_grid(y - acc[:, 0], z - acc[:, 1], array, scene)
             if np.all(b >= thr):
                 acc = np.vstack([acc, [y, z]])
+                b_new.append(b.min(initial=math.inf))
 
-    while len(acc) >= 2:
-        cb = make_codebook(acc, array, scene)
-        if verify_codebook(cb, eps, scene, array).feasible:
-            return replace(cb, verified_epsilon=eps)
-        acc = acc[:-1]
-    return make_codebook(acc[:1], array, scene, verified_epsilon=eps)
+    worst = np.minimum.accumulate(b_new)
+    j = max(k for k in range(1, len(acc) + 1)
+            if worst[k - 1] >= b_codebook(k, eps, l))
+    return make_codebook(acc[:j], array, scene)
 
 
 # --- CSV export / import ------------------------------------------------------

@@ -4,12 +4,11 @@ reliability thresholds, and the forbidden/necessary regions."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, Displacement, SceneConfig,
+from .arrays import (ArrayConfig, Displacement, SceneConfig, _warn,
                      steering_correlation_grid)
 
 __all__ = [
@@ -120,9 +119,8 @@ def quadratic_params(array: ArrayConfig, scene: SceneConfig) -> QuadraticFieldPa
     across SNR).
     """
     if array.m_y < 2 or array.m_z < 2:
-        warnings.warn(
-            "degenerate array axis (single element): zero curvature along "
-            "that axis, forbidden region unbounded there", stacklevel=2)
+        _warn("degenerate array axis (single element): zero curvature along "
+              "that axis, forbidden region unbounded there")
     d2 = scene.distance_d ** 2
     alpha_y = np.pi ** 2 * (array.m_y ** 2 - 1) / (12.0 * d2)
     alpha_z = np.pi ** 2 * (array.m_z ** 2 - 1) / (12.0 * d2)
@@ -177,7 +175,6 @@ def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,
 
 
 def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
-    # warnings point past this helper and its public wrapper to their caller
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
@@ -212,10 +209,9 @@ def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
     best[li, ri] = hi
     for l, unbounded in zip(ls, np.count_nonzero(first > n_steps, axis=1)):
         if unbounded:
-            warnings.warn(
-                f"{unbounded}/{n_rays} rays never reach the necessary threshold "
-                f"within the plane diameter at L={l} (degenerate or "
-                "SNR-starved axis)", stacklevel=3)
+            _warn(f"{unbounded}/{n_rays} rays never reach the necessary "
+                  f"threshold within the plane diameter at L={l} (degenerate "
+                  "or SNR-starved axis)")
     return best.min(axis=1)
 
 

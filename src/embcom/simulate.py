@@ -58,9 +58,9 @@ def _steering_matrix(cb: Codebook, array: ArrayConfig, scene: SceneConfig) -> np
     return np.array([steering_vector(p, array, scene) for p in cb.positions])
 
 
-def _energy_statistics(y: np.ndarray, a_mat: np.ndarray) -> np.ndarray:
-    # a_j^H Y Y^H a_j accumulated over snapshots
-    proj = a_mat.conj() @ y
+def _energy_statistics(y: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
+    # a_j^H Y Y^H a_j accumulated over snapshots; rows of a_conj are a_j^*
+    proj = a_conj @ y
     return np.einsum("jl,jl->j", proj, proj.conj()).real
 
 
@@ -71,8 +71,8 @@ def ml_decode(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     Ties resolve to the lowest index."""
     if len(cb) < 1:
         raise ValueError("codebook is empty")
-    a_mat = _steering_matrix(cb, array, scene)
-    return int(np.argmax(_energy_statistics(batch.y_matrix, a_mat)))
+    a_conj = _steering_matrix(cb, array, scene).conj()
+    return int(np.argmax(_energy_statistics(batch.y_matrix, a_conj)))
 
 
 def ml_decode_loglik(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
@@ -155,6 +155,7 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     m, l = array.m_total, scene.snapshots_l
     rho2, s2 = scene.echo_power_rho2, scene.noise_var_sigma2
     a_mat = _steering_matrix(cb, array, scene)
+    a_conj = a_mat.conj()  # once, not per trial: no per-trial J x M temporary
 
     confusion = np.zeros((j, j), dtype=np.int64)
     for i in range(j):
@@ -162,7 +163,7 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
         for t in range(trials_per_codeword):
             rng = _rng_for(rng_seed, i, t)
             y = _draw(rng, a_true, m, l, rho2, s2)
-            confusion[i, int(np.argmax(_energy_statistics(y, a_mat)))] += 1
+            confusion[i, int(np.argmax(_energy_statistics(y, a_conj)))] += 1
 
     n = trials_per_codeword
     per_cw_err = tuple(float((n - confusion[i, i]) / n) for i in range(j))

@@ -110,8 +110,8 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                 gap_tol_bits: float = 1e-6) -> tuple[list[BoundPoint], bool]:
     """Every converse next to the hexagonal-design rate at each (gamma0, L)
     grid point, and whether the rate exceeds any of them.  The support value
-    is solved once per SNR; a rate above it first refines that SNR's grid
-    to 2 n - 1 points per axis, kept for its remaining L values."""
+    is solved once per SNR; the first rate above it refines that SNR's grid
+    once, to 2 n - 1 points per axis, kept for its remaining L values."""
     l_list = list(l_list)
     rows = []
     violation = False
@@ -119,13 +119,13 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                                                 snr_db_list, l_list, n_rays, tol):
         l_cont, l_int = optimal_snapshots(eps, snr_scene, array)
         c_univ_snap = snap_info_universal(snr_scene, array)
-        n = grid_n
+        n, n_fine = grid_n, 2 * grid_n - 1
         c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters, gap_tol_bits)
         for scene, d_nec, rep in points:
             rate = rep.rate_bits_per_second
             c_sup = fano_bound(c_sup_snap, eps, scene)
-            if rate > c_sup + 1e-9:
-                n = 2 * n - 1
+            if rate > c_sup + 1e-9 and n < n_fine:
+                n = n_fine
                 c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters,
                                                gap_tol_bits)
                 c_sup = fano_bound(c_sup_snap, eps, scene)

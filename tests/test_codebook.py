@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from embcom import codebook
 from embcom.arrays import ArrayConfig, SceneConfig
 from embcom.codebook import (LatticeGenerator, codebook_from_csv,
                              codebook_to_csv, greedy_packing_baseline,
@@ -11,7 +12,7 @@ from embcom.codebook import (LatticeGenerator, codebook_from_csv,
                              hexagonal_size_fixed_point, lambert_w0,
                              make_codebook, truncate_lattice, verify_codebook,
                              xi_factor, xi_h_factor)
-from embcom.field import b_codebook, quadratic_params
+from embcom.field import b_codebook, bhattacharyya_grid, quadratic_params
 
 NULL_B_G10 = 1.1856236656577395
 
@@ -98,6 +99,27 @@ def test_verify_singleton_trivial(ref_array, ref_scene):
 def test_codeword_outside_plane_rejected(ref_array, ref_scene):
     with pytest.raises(ValueError):
         make_codebook([(1.5, 0.0)], ref_array, ref_scene)
+
+
+def test_verify_is_the_only_pair_scan(monkeypatch, ref_array, ref_scene):
+    calls = []
+    scan = codebook._min_pairwise_b
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(codebook, "_min_pairwise_b", spy)
+    cb = make_codebook([(y, z) for y in (-0.5, 0.0, 0.5) for z in (-0.5, 0.5)],
+                       ref_array, ref_scene)
+    assert calls == []
+    rep5 = verify_codebook(cb, 1e-3, ref_scene, ref_array)
+    assert len(calls) == 1
+    # verification uses the scene it is given, not the codebook's
+    rep20 = verify_codebook(cb, 1e-3, ref_scene.with_snr(100.0), ref_array)
+    assert len(calls) == 2
+    assert calls[1][2] == ref_scene.with_snr(100.0)
+    assert rep20.b_min > rep5.b_min == cb.min_pairwise_b
 
 
 # --- Lambert-W ------------------------------------------------------------------
@@ -227,6 +249,41 @@ def test_hex_rotation_offset_configurable(ref_array, ref_scene):
 
 
 # --- greedy baseline --------------------------------------------------------------
+
+def greedy_reference(eps, scene, array, step):
+    """Greedy baseline that trims by rebuilding and re-verifying the whole
+    accepted set once per dropped point."""
+    l = scene.snapshots_l
+    ny = int(math.floor(scene.extent_y / step + 1e-9)) + 1
+    nz = int(math.floor(scene.extent_z / step + 1e-9)) + 1
+    ys = -scene.extent_y / 2 + step * np.arange(ny)
+    zs = -scene.extent_z / 2 + step * np.arange(nz)
+    acc = np.zeros((0, 2))
+    for y in ys:
+        for z in zs:
+            if len(acc) == 0:
+                acc = np.array([[y, z]])
+                continue
+            b = bhattacharyya_grid(y - acc[:, 0], z - acc[:, 1], array, scene)
+            if np.all(b >= b_codebook(len(acc) + 1, eps, l)):
+                acc = np.vstack([acc, [y, z]])
+    while len(acc) >= 2:
+        cb = make_codebook(acc, array, scene)
+        if verify_codebook(cb, eps, scene, array).feasible:
+            return cb
+        acc = acc[:-1]
+    return make_codebook(acc[:1], array, scene)
+
+
+@pytest.mark.parametrize("snr_db,l,step", [(40.0, 20, 0.1), (30.0, 20, 0.1),
+                                           (20.0, 40, 0.1), (40.0, 40, 0.05)])
+def test_greedy_prefix_trim_matches_reference(ref_array, ref_scene, snr_db, l, step):
+    sc = ref_scene.with_snr(10.0 ** (snr_db / 10.0)).with_snapshots(l)
+    cb = greedy_packing_baseline(1e-3, sc, ref_array, step)
+    ref = greedy_reference(1e-3, sc, ref_array, step)
+    assert cb.positions == ref.positions
+    assert len(cb) >= 2
+
 
 def test_greedy_whole_plane_forbidden(ref_array, ref_scene):
     cb = greedy_packing_baseline(1e-3, ref_scene.with_snr(1.0), ref_array, 0.5)

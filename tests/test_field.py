@@ -65,6 +65,15 @@ def test_b_monotone_in_eta_and_ceiling(ref_array, ref_scene):
             assert b2 <= b1 + 1e-12  # larger correlation, smaller exponent
 
 
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_field_is_bitwise_even(ref_array, ref_scene, snr_db):
+    # the greedy baseline's prefix trim reuses B(r_k - r_i) as B(r_i - r_k)
+    sc = ref_scene.with_snr(10.0 ** (snr_db / 10.0))
+    dy, dz = np.random.default_rng(29).uniform(-2.0, 2.0, size=(2, 200_000))
+    assert np.array_equal(bhattacharyya_grid(dy, dz, ref_array, sc),
+                          bhattacharyya_grid(-dy, -dz, ref_array, sc))
+
+
 def test_pairwise_error_bound(ref_array, ref_scene):
     assert pairwise_error_bound(Displacement(0, 0), 5, ref_array, ref_scene) == 1.0
     null = Displacement(3.125, 0.0)

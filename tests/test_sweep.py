@@ -2,9 +2,12 @@ import warnings
 
 import pytest
 
-from embcom.bounds import (geo_bound, geo_bound_mainlobe, info_bound_support,
-                           info_bound_universal, optimal_snapshots)
+from embcom import sweep
+from embcom.bounds import (fano_bound, geo_bound, geo_bound_mainlobe,
+                           info_bound_support, info_bound_universal,
+                           optimal_snapshots, snap_info_support)
 from embcom.codebook import hexagonal_design
+from embcom.config import load_config
 from embcom.sweep import bound_sweep, db_to_linear, lstar_sweep, rate_sweep
 
 SWEEP_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -82,3 +85,37 @@ def test_bound_sweep_matches_per_point_calls(ref_array, ref_scene):
             assert row.c_geo_mainlobe == geo_bound_mainlobe(1e-3, sc, ref_array)
             assert (row.l_star_cont, row.l_star_int) == optimal_snapshots(
                 1e-3, sc, ref_array)
+
+
+def test_bound_sweep_refines_support_grid_at_most_once(monkeypatch, ref_array,
+                                                       ref_scene):
+    # a one-point grid refines to 2 n - 1 = 1 point: nothing new to solve
+    grids = []
+
+    def spy(scene, array, grid_n, *args):
+        grids.append(grid_n)
+        return snap_info_support(scene, array, grid_n, *args)
+
+    monkeypatch.setattr(sweep, "snap_info_support", spy)
+    l_list = load_config().get("sweep", "l_list")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, violation = bound_sweep(1e-3, ref_scene, ref_array, (20.0,), l_list,
+                                      n_rays=90, grid_n=1)
+    assert grids == [1]
+    assert violation
+    sc0 = ref_scene.with_snr(db_to_linear(20.0))
+    c_snap = snap_info_support(sc0, ref_array, 1, 200, 1e-6)
+    assert [r.l for r in rows] == list(l_list)
+    assert [r.c_info_support_grid for r in rows] == [
+        fano_bound(c_snap, 1e-3, sc0.with_snapshots(r.l)) for r in rows]
+
+
+def test_sweep_warnings_name_the_caller(ref_array, ref_scene):
+    # at 10 dB and L = 1 no ray reaches the necessary threshold
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rate_sweep(1e-3, ref_scene, ref_array, (10.0,), (1, 5), n_rays=90)
+        bound_sweep(1e-3, ref_scene, ref_array, (10.0,), (1, 5), n_rays=90)
+    assert caught
+    assert [w.filename for w in caught] == [__file__] * len(caught)
