@@ -34,6 +34,8 @@ EXIT_IO = 3
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return f"{x:.17g}"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -51,7 +53,7 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_table(path: Path, cfg: RunConfig, row_type, rows) -> None:
@@ -87,8 +89,7 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     gy, gz = np.meshgrid(dy, dz, indexing="ij")
     b_exact = bhattacharyya_grid(gy, gz, array, scene)
     b_quad = bhattacharyya_quadratic_grid(gy, gz, params)
-    rows = [(gy.flat[i], gz.flat[i], b_exact.flat[i], b_quad.flat[i])
-            for i in range(gy.size)]
+    rows = zip(*(a.ravel().tolist() for a in (gy, gz, b_exact, b_quad)))
     _write_csv(out / "field_grid.csv", cfg,
                ["dy", "dz", "b_exact", "b_quadratic"], rows)
 
@@ -101,7 +102,7 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
                                array, scene)
     _write_csv(out / "field_profile.csv", cfg, ["psi_rad", "b_exact"],
-               list(zip(psi, b_psi)))
+               zip(psi.tolist(), b_psi.tolist()))
     return EXIT_OK
 
 

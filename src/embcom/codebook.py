@@ -263,6 +263,8 @@ def _invert_field_along(direction: np.ndarray, b_target: float,
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: the bracket is final
+            break
         if b_at(mid) >= b_target:
             hi = mid
         else:
@@ -364,9 +366,10 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     row-major from the plane corner, accept a candidate when its displacement
     to every accepted codeword clears the threshold for the tentative size,
     then keep the longest prefix that passes the exact check (threshold grows
-    with J).  A prefix's worst pair is the running minimum of the exponents
-    the acceptance test computed; the field is even, so this is the pair
-    verify_codebook finds."""
+    with J).  Each candidate's smallest exponent to the accepted points is
+    kept up to date by one field evaluation per accepted point.  A prefix's
+    worst pair is the running minimum of those exponents at acceptance; the
+    field is even, so this is the pair verify_codebook finds."""
     if candidate_grid_step <= 0:
         raise ValueError(f"candidate grid step must be > 0, got {candidate_grid_step}")
     l = scene.snapshots_l
@@ -376,15 +379,17 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     ys = -hy + candidate_grid_step * np.arange(ny)
     zs = -hz + candidate_grid_step * np.arange(nz)
 
-    acc = np.zeros((0, 2))
+    # each candidate's smallest exponent to the points accepted so far
+    nearest = np.full((ny, nz), math.inf)
+    acc = []
     b_new = []  # each accepted point's smallest exponent to the earlier ones
-    for y in ys:
-        for z in zs:
-            thr = b_codebook(len(acc) + 1, eps, l)
-            b = bhattacharyya_grid(y - acc[:, 0], z - acc[:, 1], array, scene)
-            if np.all(b >= thr):
-                acc = np.vstack([acc, [y, z]])
-                b_new.append(b.min(initial=math.inf))
+    for iy, y in enumerate(ys):
+        for iz, z in enumerate(zs):
+            if nearest[iy, iz] >= b_codebook(len(acc) + 1, eps, l):
+                acc.append((y, z))
+                b_new.append(nearest[iy, iz])
+                np.minimum(nearest, bhattacharyya_grid(ys[:, None] - y, zs - z,
+                                                       array, scene), out=nearest)
 
     worst = np.minimum.accumulate(b_new)
     j = max(k for k in range(1, len(acc) + 1)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,61 @@ def _whitened_min_distance(cb, params):
     return best
 
 
+def invert_reference(direction, b_target, array, scene):
+    """Field inversion along a direction by a fixed 80-step bisection."""
+    c, s = direction
+    limits = []
+    if abs(c) > 0:
+        limits.append(2.0 * scene.distance_d / array.m_y / abs(c))
+    if abs(s) > 0:
+        limits.append(2.0 * scene.distance_d / array.m_z / abs(s))
+    hi = min(limits) * (1.0 - 1e-12)
+
+    def b_at(t):
+        return float(bhattacharyya_grid(np.asarray(t * c), np.asarray(t * s),
+                                        array, scene))
+
+    if b_at(hi) < b_target:
+        return None
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if b_at(mid) >= b_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_invert_field_early_stop_matches_80_steps(monkeypatch, ref_array, ref_scene):
+    calls = []
+    field = codebook.bhattacharyya_grid
+
+    def spy(*args):
+        calls.append(1)
+        return field(*args)
+
+    monkeypatch.setattr(codebook, "bhattacharyya_grid", spy)
+    n_found = 0
+    for db in (5.0, 10.0, 20.0, 30.0, 40.0):
+        for l in (1, 5, 20):
+            sc = ref_scene.with_snr(10.0 ** (db / 10.0)).with_snapshots(l)
+            transform = quadratic_params(ref_array, sc).transform_t
+            for rotation in (0.0, 0.3, math.pi / 3, 1.2, math.pi / 2):
+                d = np.linalg.solve(transform, [math.cos(rotation),
+                                                math.sin(rotation)])
+                d /= np.linalg.norm(d)
+                for j in (2, 7, 40, 300):
+                    target = b_codebook(j, 1e-3, l) * (1.0 + 1e-9)
+                    calls.clear()
+                    got = codebook._invert_field_along(d, target, ref_array, sc)
+                    assert got == invert_reference(d, target, ref_array, sc)
+                    if got is not None:
+                        n_found += 1
+                        assert len(calls) < 81  # stopped before the 80th step
+    assert n_found > 50
+
+
 def test_hex_design_20db(ref_array, ref_scene):
     sc = ref_scene.with_snr(100.0)
     cb, rep = hexagonal_design(1e-3, sc, ref_array)
@@ -275,14 +331,73 @@ def greedy_reference(eps, scene, array, step):
     return make_codebook(acc[:1], array, scene)
 
 
-@pytest.mark.parametrize("snr_db,l,step", [(40.0, 20, 0.1), (30.0, 20, 0.1),
-                                           (20.0, 40, 0.1), (40.0, 40, 0.05)])
+def greedy_scan_reference(eps, scene, array, step):
+    """Greedy baseline that tests each candidate with its own field call
+    against every accepted point, then keeps the longest prefix whose running
+    worst pair clears the threshold.  Returns the codebook and the number of
+    accepted candidates before the trim."""
+    l = scene.snapshots_l
+    ny = int(math.floor(scene.extent_y / step + 1e-9)) + 1
+    nz = int(math.floor(scene.extent_z / step + 1e-9)) + 1
+    ys = -scene.extent_y / 2 + step * np.arange(ny)
+    zs = -scene.extent_z / 2 + step * np.arange(nz)
+    acc = np.zeros((0, 2))
+    b_new = []
+    for y in ys:
+        for z in zs:
+            b = bhattacharyya_grid(y - acc[:, 0], z - acc[:, 1], array, scene)
+            if np.all(b >= b_codebook(len(acc) + 1, eps, l)):
+                acc = np.vstack([acc, [y, z]])
+                b_new.append(b.min(initial=math.inf))
+    worst = np.minimum.accumulate(b_new)
+    j = max(k for k in range(1, len(acc) + 1)
+            if worst[k - 1] >= b_codebook(k, eps, l))
+    return make_codebook(acc[:j], array, scene), len(acc)
+
+
+GREEDY_POINTS = [(40.0, 20, 0.1), (30.0, 20, 0.1), (20.0, 40, 0.1),
+                 (40.0, 40, 0.05)]
+
+
+@pytest.mark.parametrize("snr_db,l,step", GREEDY_POINTS)
 def test_greedy_prefix_trim_matches_reference(ref_array, ref_scene, snr_db, l, step):
     sc = ref_scene.with_snr(10.0 ** (snr_db / 10.0)).with_snapshots(l)
     cb = greedy_packing_baseline(1e-3, sc, ref_array, step)
     ref = greedy_reference(1e-3, sc, ref_array, step)
     assert cb.positions == ref.positions
     assert len(cb) >= 2
+
+
+@pytest.mark.parametrize("snr_db,l,step,extent", [
+    *((db, l, step, (2.0, 2.0)) for db, l, step in GREEDY_POINTS),
+    (30.0, 10, 0.2, (2.0, 2.0)), (40.0, 20, 0.37, (2.0, 2.0)),
+    (30.0, 20, 0.1, (3.0, 1.4)), (25.0, 5, 0.1, (1.2, 2.6))])
+def test_greedy_incremental_scan_matches_reference(ref_array, ref_scene, snr_db,
+                                                   l, step, extent):
+    sc = replace(ref_scene.with_snr(10.0 ** (snr_db / 10.0)).with_snapshots(l),
+                 extent_y=extent[0], extent_z=extent[1])
+    cb = greedy_packing_baseline(1e-3, sc, ref_array, step)
+    ref, _ = greedy_scan_reference(1e-3, sc, ref_array, step)
+    assert cb.positions == ref.positions
+    assert len(cb) >= 2
+
+
+def test_greedy_one_field_call_per_accepted_point(monkeypatch, ref_array, ref_scene):
+    sc = replace(ref_scene.with_snr(1000.0).with_snapshots(20),
+                 extent_y=3.0, extent_z=1.4)
+    _, n_accepted = greedy_scan_reference(1e-3, sc, ref_array, 0.1)
+    shapes = []
+    field = codebook.bhattacharyya_grid
+
+    def spy(dy, dz, array, scene):
+        b = field(dy, dz, array, scene)
+        shapes.append(b.shape)
+        return b
+
+    monkeypatch.setattr(codebook, "bhattacharyya_grid", spy)
+    greedy_packing_baseline(1e-3, sc, ref_array, 0.1)
+    assert 2 <= n_accepted < 31 * 15
+    assert shapes == [(31, 15)] * n_accepted
 
 
 def test_greedy_whole_plane_forbidden(ref_array, ref_scene):
