@@ -174,6 +174,10 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     cfg.array
     cfg.scene
     cfg.eps
+    cap = cfg.get("sim", "max_codewords")
+    if cap < 2:
+        # the subsample keeps the worst pair, so fewer than two cannot be met
+        raise ValueError(f"sim.max_codewords must be >= 2, got {cap}")
     return cfg
 
 

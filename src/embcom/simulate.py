@@ -1,6 +1,10 @@
 """Monte Carlo simulation of the multi-snapshot Gaussian sensing channel:
 snapshot synthesis, the accumulated-energy ML decoder, and empirical error
-estimation against the analytic predictions."""
+estimation against the analytic predictions.
+
+The error estimate draws the decoder's sufficient statistic, the J x L
+matched-filter outputs A^H Y, directly instead of the M x L snapshot; the full
+synthesis stays in ``draw_channel_use`` as the reference."""
 
 from __future__ import annotations
 
@@ -25,10 +29,20 @@ class SnapshotBatch:
     true_index: int
 
 
-def _rng_for(seed: int, codeword: int, trial: int) -> np.random.Generator:
-    # one independent stream per (codeword, trial); reproducible under any
-    # execution order
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(codeword, trial)))
+# trials drawn from one RNG stream by ``estimate_errors``
+_BLOCK = 1024
+
+
+def _rng_for(seed: int, codeword: int, index: int) -> np.random.Generator:
+    # one independent stream per (codeword, index), where the index is a trial
+    # of ``draw_channel_use`` or a block of trials of ``estimate_errors``;
+    # reproducible under any execution order
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(codeword, index)))
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    # i.i.d. CN(0, 2): independent standard normal real and imaginary parts
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
 def _draw(rng: np.random.Generator, a: np.ndarray, m: int, l: int,
@@ -58,10 +72,30 @@ def _steering_matrix(cb: Codebook, array: ArrayConfig, scene: SceneConfig) -> np
     return np.array([steering_vector(p, array, scene) for p in cb.positions])
 
 
-def _energy_statistics(y: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
-    # a_j^H Y Y^H a_j accumulated over snapshots; rows of a_conj are a_j^*
-    proj = a_conj @ y
-    return np.einsum("jl,jl->j", proj, proj.conj()).real
+def _energy_statistics(proj: np.ndarray) -> np.ndarray:
+    # a_j^H Y Y^H a_j accumulated over snapshots, from the matched-filter
+    # outputs proj[..., j, l] = a_j^H y_l
+    return np.einsum("...jl,...jl->...j", proj, proj.conj()).real
+
+
+def _gram_factor(g: np.ndarray) -> np.ndarray:
+    """J x r factor C with C C^H = G of a Hermitian positive semidefinite G:
+    outer-product Cholesky with diagonal pivoting, stopped once the largest
+    remaining diagonal is at most J eps max(diag G), so r is G's numerical
+    rank.  Equal rows of G give bitwise-equal rows of C."""
+    j = g.shape[0]
+    res = np.array(g, dtype=np.complex128)
+    tol = j * np.finfo(float).eps * float(res.diagonal().real.max())
+    cols = []
+    while len(cols) < j:
+        d = res.diagonal().real
+        p = int(np.argmax(d))
+        if d[p] <= tol:
+            break
+        c = res[:, p] / math.sqrt(d[p])
+        res -= np.outer(c, c.conj())
+        cols.append(c)
+    return np.stack(cols, axis=1)
 
 
 def ml_decode(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
@@ -72,7 +106,7 @@ def ml_decode(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     if len(cb) < 1:
         raise ValueError("codebook is empty")
     a_conj = _steering_matrix(cb, array, scene).conj()
-    return int(np.argmax(_energy_statistics(batch.y_matrix, a_conj)))
+    return int(np.argmax(_energy_statistics(a_conj @ batch.y_matrix)))
 
 
 def ml_decode_loglik(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
@@ -145,27 +179,41 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     """Condition on each codeword in turn, decode ``trials_per_codeword``
     independent channel uses, and tabulate per-codeword and pairwise confusion
     rates with Wilson 95% half-widths next to the analytic union-bound and
-    per-pair predictions."""
+    per-pair predictions.
+
+    Under codeword i the decoder reads A^H Y = G[:, i] h^T + A^H N with
+    G = A^H A; the columns of A^H N are i.i.d. CN(0, sigma^2 G), the law of
+    C W for C C^H = G and W with i.i.d. CN(0, sigma^2) entries.  So each trial
+    draws h and the r x L matrix W, not the M x L snapshot, for any rank r of
+    G.  Trials of one codeword come in blocks of ``_BLOCK``, one RNG stream
+    per (codeword, block)."""
     if trials_per_codeword < 100:
         raise ValueError(
             f"trials_per_codeword must be >= 100, got {trials_per_codeword}")
     j = len(cb)
     if j < 1:
         raise ValueError("codebook is empty")
-    m, l = array.m_total, scene.snapshots_l
-    rho2, s2 = scene.echo_power_rho2, scene.noise_var_sigma2
+    l = scene.snapshots_l
     a_mat = _steering_matrix(cb, array, scene)
-    a_conj = a_mat.conj()  # once, not per trial: no per-trial J x M temporary
-
-    confusion = np.zeros((j, j), dtype=np.int64)
-    for i in range(j):
-        a_true = a_mat[i]
-        for t in range(trials_per_codeword):
-            rng = _rng_for(rng_seed, i, t)
-            y = _draw(rng, a_true, m, l, rho2, s2)
-            confusion[i, int(np.argmax(_energy_statistics(y, a_conj)))] += 1
+    gram = np.einsum("jm,km->jk", a_mat.conj(), a_mat)
+    # the draws' scale sqrt(variance / 2) per part is folded into the factors
+    # once, not applied per trial
+    noise = _gram_factor(gram) * math.sqrt(scene.noise_var_sigma2 / 2.0)
+    echo = gram * math.sqrt(scene.echo_power_rho2 / 2.0)
+    r = noise.shape[1]
 
     n = trials_per_codeword
+    confusion = np.zeros((j, j), dtype=np.int64)
+    for i in range(j):
+        for b, start in enumerate(range(0, n, _BLOCK)):
+            nb = min(_BLOCK, n - start)
+            rng = _rng_for(rng_seed, i, b)
+            h = _complex_normal(rng, (nb, 1, l))
+            w = _complex_normal(rng, (nb, r, l))
+            proj = noise @ w + echo[:, i, None] * h
+            decided = np.argmax(_energy_statistics(proj), axis=1)
+            confusion[i] += np.bincount(decided, minlength=j)
+
     per_cw_err = tuple(float((n - confusion[i, i]) / n) for i in range(j))
     worst = int(np.argmax(per_cw_err))
     hw_max = wilson_halfwidth(n - int(confusion[worst, worst]), n)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from embcom.cli import main
+from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import load_config
 
 
@@ -115,6 +116,32 @@ def test_simulate_gate_and_negative_control(tmp_path):
 def test_simulate_rejects_singleton_design(tmp_path):
     # at 0 dB the design collapses to one codeword: validation error
     assert run(tmp_path, "--set", "scene.snr_db=0", "simulate") == 1
+
+
+CAP_OVERRIDES = ["scene.snr_db=30", "sim.trials_per_codeword=100"]
+CAP_SIM = [arg for o in CAP_OVERRIDES for arg in ("--set", o)]
+
+
+@pytest.mark.parametrize("cap", [1, 0])
+def test_simulate_rejects_codeword_cap_below_two(tmp_path, capsys, cap):
+    # the 30 dB design has J = 7 > cap, so an unchecked cap would subsample
+    assert run(tmp_path, *CAP_SIM, "--set", f"sim.max_codewords={cap}",
+               "simulate") == 1
+    assert f"sim.max_codewords must be >= 2, got {cap}" in capsys.readouterr().err
+    assert not (tmp_path / "sim_report.json").exists()
+
+
+def test_simulate_cap_two_keeps_worst_pair(tmp_path):
+    cfg = load_config(None, CAP_OVERRIDES)
+    cb, _ = hexagonal_design(cfg.eps, cfg.scene, cfg.array)
+    assert len(cb) > 2
+    pts = cb.as_array()
+    _, i, k = _min_pairwise_b(pts, cfg.array, cfg.scene)
+    assert run(tmp_path, *CAP_SIM, "--set", "sim.max_codewords=2",
+               "simulate") == 0
+    rep = json.loads((tmp_path / "sim_report.json").read_text())
+    assert rep["j"] == 2
+    assert rep["codewords"] == pts[[i, k]].tolist()
 
 
 def test_sweep_and_lstar_outputs(tmp_path):

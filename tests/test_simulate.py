@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from embcom.arrays import ArrayConfig, SceneConfig
 from embcom.codebook import make_codebook
 from embcom.field import bhattacharyya_exact
 from embcom.arrays import Displacement
-from embcom.simulate import (draw_channel_use, estimate_errors, ml_decode,
-                             ml_decode_loglik, wilson_halfwidth)
+from embcom import simulate
+from embcom.simulate import (_gram_factor, _steering_matrix, draw_channel_use,
+                             estimate_errors, ml_decode, ml_decode_loglik,
+                             wilson_halfwidth)
 
 
 @pytest.fixture
@@ -174,3 +177,97 @@ def test_binary_converse_floor(ref_array, ref_scene):
     hw = wilson_halfwidth(errs, 2 * rep.trials)
     floor = 0.5 * (1 - math.sqrt(1 - math.exp(-2 * 5 * cb.min_pairwise_b)))
     assert avg >= floor - 3 * hw
+
+
+def _gram(cb, array, scene):
+    a = _steering_matrix(cb, array, scene)
+    return np.einsum("jm,km->jk", a.conj(), a)
+
+
+def _j_above_m_setup():
+    # 12 codewords on an 8-element array: the Gram matrix has rank 8 < J
+    arr = ArrayConfig(4, 2)
+    sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
+    rng = np.random.default_rng(77)
+    return arr, sc, make_codebook(rng.uniform(-1, 1, size=(12, 2)), arr, sc)
+
+
+COINCIDENT = [(0.3, 0.1), (-0.4, 0.2), (0.3, 0.1), (0.6, -0.5), (-0.4, 0.2)]
+
+
+def test_gram_factor_reproduces_gram(ref_array, ref_scene, small_array):
+    rng = np.random.default_rng(16)
+    full = make_codebook(rng.uniform(-1, 1, size=(16, 2)), ref_array, ref_scene)
+    coincident = make_codebook(COINCIDENT, small_array, ref_scene)
+    cases = [(ref_array, ref_scene, full), _j_above_m_setup(),
+             (small_array, ref_scene, coincident)]
+    factors = []
+    for arr, sc, cb in cases:
+        g = _gram(cb, arr, sc)
+        c = _gram_factor(g)
+        assert np.abs(c @ c.conj().T - g).max() <= 1e-13
+        factors.append(c)
+    # numerical ranks: full at J = 16 < M, at most M = 8 at J = 12, and the
+    # 3 distinct positions of the coincident codebook
+    ranks = [c.shape[1] for c in factors]
+    assert ranks[0] == 16 and ranks[1] <= 8 and ranks[2] == 3
+    c = factors[2]
+    assert np.array_equal(c[0], c[2]) and np.array_equal(c[1], c[4])
+
+
+def full_synthesis_confusion(cb, trials, seed, scene, array):
+    """Reference: draw every trial's full M x L snapshot and pick the codeword
+    with the most matched-filter energy sum_l |a_j^H y_l|^2."""
+    a_conj = _steering_matrix(cb, array, scene).conj()
+    j = len(cb)
+    confusion = np.zeros((j, j), dtype=np.int64)
+    for i in range(j):
+        for t in range(trials):
+            y = draw_channel_use(cb, i, seed, scene, array, trial=t).y_matrix
+            confusion[i, np.argmax(np.sum(np.abs(a_conj @ y) ** 2, axis=1))] += 1
+    return confusion
+
+
+def test_reduced_simulator_matches_full_synthesis(sim_setup):
+    """Every confusion cell of the reduced simulator against the full
+    synthesis: a pooled two-sample z-test per cell, Bonferroni-corrected for
+    a 0.1% family-wise false-alarm rate over all cells of both codebooks.
+    2000 trials per codeword span one full RNG block and a partial one."""
+    cases = [sim_setup, _j_above_m_setup()]
+    n = 2000
+    cells = sum(len(cb) ** 2 for _, _, cb in cases)
+    z_max = NormalDist().inv_cdf(1 - 1e-3 / (2 * cells))  # 4.52
+    for arr, sc, cb in cases:
+        ref = full_synthesis_confusion(cb, n, 1, sc, arr)
+        rep = estimate_errors(cb, n, 2, sc, arr)
+        red = np.rint(np.array(rep.pairwise_empirical) * n).astype(np.int64)
+        assert (red.sum(axis=1) == n).all()
+        # enough confusion off the diagonal that the test has power
+        assert (ref - np.diag(np.diag(ref))).sum() > 0.1 * len(cb) * n
+        pooled = (ref + red) / (2 * n)
+        se = np.sqrt(pooled * (1 - pooled) * 2 / n)
+        z = np.divide(red - ref, n * se, out=np.zeros(se.shape), where=se > 0)
+        assert np.abs(z).max() < z_max
+
+
+def test_coincident_codewords_tie_to_lower_index(small_array, ref_scene):
+    cb = make_codebook(COINCIDENT, small_array, ref_scene)
+    rep = estimate_errors(cb, 2000, 3, ref_scene, small_array)
+    emp = np.array(rep.pairwise_empirical)
+    # the later copies (2 and 4) never win; their earlier twins do
+    assert (emp[:, 2] == 0).all() and (emp[:, 4] == 0).all()
+    assert emp[2, 0] > 0.2 and emp[4, 1] > 0.2
+
+
+def test_estimate_errors_never_synthesizes_snapshots(sim_setup, monkeypatch):
+    arr, sc, cb = sim_setup
+    calls = []
+    draw = simulate._draw
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_draw", spy)
+    assert estimate_errors(cb, 100, 4, sc, arr).trials == 100
+    assert calls == []
