@@ -87,7 +87,7 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
     res = np.array(g, dtype=np.complex128)
     tol = j * np.finfo(float).eps * float(res.diagonal().real.max())
     cols = []
-    while len(cols) < j:
+    for _ in range(j):
         d = res.diagonal().real
         p = int(np.argmax(d))
         if d[p] <= tol:

@@ -185,7 +185,7 @@ def _gram(cb, array, scene):
 
 
 def _j_above_m_setup():
-    # 12 codewords on an 8-element array: the Gram matrix has rank 8 < J
+    # 12 codewords on an 8-element array: the Gram matrix has rank <= 8 < J
     arr = ArrayConfig(4, 2)
     sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
     rng = np.random.default_rng(77)
