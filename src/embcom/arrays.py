@@ -130,17 +130,26 @@ def position_to_angles(r: Position, scene: SceneConfig) -> tuple[float, float]:
     return r.y / scene.distance_d, r.z / scene.distance_d
 
 
-def steering_vector(r: Position, array: ArrayConfig, scene: SceneConfig) -> np.ndarray:
-    """Unit-norm array response of a scatterer at r under the small-angle map.
+def steering_matrix(y, z, array: ArrayConfig, scene: SceneConfig) -> np.ndarray:
+    """Unit-norm array responses of scatterers at broadcastable in-plane
+    offsets (y, z) under the small-angle map; the last axis is the M elements.
 
-    Entry (m, n) is exp(j*pi*(m*y/D + n*z/D)) / sqrt(M); the two axis factors
-    are combined as a Kronecker product (y-axis phases vary slowest).
+    Entry (m, n) is exp(j*pi*(m*y/D + n*z/D)) / sqrt(M), the product of the two
+    axis phase factors with the y-axis index varying slowest.
     """
-    uy = r.y / scene.distance_d
-    uz = r.z / scene.distance_d
-    ph_y = np.exp(1j * np.pi * uy * np.arange(array.m_y))
-    ph_z = np.exp(1j * np.pi * uz * np.arange(array.m_z))
-    return np.kron(ph_y, ph_z) / np.sqrt(array.m_total)
+    uy = np.asarray(y, dtype=float) / scene.distance_d
+    uz = np.asarray(z, dtype=float) / scene.distance_d
+    ph_y = np.exp(1j * np.pi * uy[..., None] * np.arange(array.m_y))
+    ph_z = np.exp(1j * np.pi * uz[..., None] * np.arange(array.m_z))
+    a = ph_y[..., :, None] * ph_z[..., None, :]
+    a /= np.sqrt(array.m_total)  # in place: a support grid's atoms are tens of MB
+    return a.reshape(*a.shape[:-2], array.m_total)
+
+
+def steering_vector(r: Position, array: ArrayConfig, scene: SceneConfig) -> np.ndarray:
+    """Unit-norm array response of a scatterer at r: one row of
+    steering_matrix."""
+    return steering_matrix(r.y, r.z, array, scene)
 
 
 def _dirichlet_sq(delta: np.ndarray | float, m: int, distance_d: float):

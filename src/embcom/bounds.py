@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .arrays import ArrayConfig, SceneConfig, _warn
+from .arrays import ArrayConfig, SceneConfig, _warn, steering_matrix
 from .codebook import _hexagonal_size_cont, hexagonal_design, xi_h_factor
 from .field import dnec_mainlobe, necessary_separation_dnec
 
@@ -54,90 +54,42 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
 
 # --- support-constrained bound via Frank-Wolfe --------------------------------
 
-class _ActiveSetLogDet:
-    """Maximizes log det(I + g Q) over convex mixtures of rank-one atoms
-    a_k a_k^H without ever forming the M x M matrix: the active mixture is
-    tracked through its Gram matrix, the gradient scores come from the
-    Woodbury identity, and the exact line search diagonalizes the rank-(r+1)
-    pencil of the segment."""
+def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int,
+                 gap_tol_bits: float) -> tuple[float, bool, float]:
+    """Maximizes log det(I + g Q) over convex mixtures Q = sum_k w_k a_k a_k^H
+    of the rank-one atoms (rows of ``atoms``) by conditional gradient with
+    exact line search, starting at atom 0; returns (objective nats,
+    converged, duality gap bits).
 
-    def __init__(self, atoms: np.ndarray, gamma0: float):
-        self.a = atoms                     # K x M
-        self.g0 = gamma0
-        self.k = atoms.shape[0]
-        self.cross = np.zeros((0, self.k), dtype=complex)  # act x K
-        self.idx: list[int] = []
-        self.w = np.zeros(0)
-
-    def _gram_act(self) -> np.ndarray:
-        return self.cross[:, self.idx] if self.idx else np.zeros((0, 0), dtype=complex)
-
-    def objective_nats(self, w=None) -> float:
-        w = self.w if w is None else w
-        if len(w) == 0:
-            return 0.0
-        sw = np.sqrt(np.maximum(w, 0.0))
-        h = np.eye(len(w)) + self.g0 * (sw[:, None] * self._gram_act() * sw[None, :])
-        return float(np.linalg.slogdet(h)[1])
-
-    def add_atom(self, k: int) -> int:
-        if k in self.idx:
-            return self.idx.index(k)
-        row = self.a[k].conj() @ self.a.T    # inner products vs all atoms
-        self.cross = np.vstack([self.cross, row[None, :]])
-        self.idx.append(k)
-        self.w = np.append(self.w, 0.0)
-        return len(self.idx) - 1
-
-    def scores(self) -> np.ndarray:
-        """s_k = a_k^H (I + g Q)^-1 a_k for every grid atom."""
-        live = self.w > 1e-300
-        if not np.any(live):
-            return np.ones(self.k)
-        c = self.cross[live]
-        gram = c[:, [self.idx[i] for i in np.nonzero(live)[0]]]
-        b_inv = np.diag(1.0 / (self.g0 * self.w[live]))
-        sol = np.linalg.solve(b_inv + gram, c)
-        return 1.0 - np.einsum("ik,ik->k", c.conj(), sol).real
-
-    def line_search_eigs(self, pos: int) -> np.ndarray:
-        """Eigenvalues of M0^-1 (M1 - M0) for the segment toward atom ``pos``
-        of the active list, reduced to the active subspace."""
-        act = self.idx
-        gram_full = self.cross[:, act]  # r x r
-        live = self.w > 1e-300
-        if np.any(live):
-            c_live = self.cross[live][:, act]
-            b_inv = np.diag(1.0 / (self.g0 * self.w[live]))
-            gram_live = self.cross[live][:, [act[i] for i in np.nonzero(live)[0]]]
-            sol = np.linalg.solve(b_inv + gram_live, c_live)
-            vmv = gram_full - c_live.conj().T @ sol
-        else:
-            vmv = gram_full
-        s_diag = -self.g0 * self.w.copy()
-        s_diag[pos] += self.g0
-        lam = np.linalg.eigvals(np.diag(s_diag) @ vmv)
-        return lam.real
-
-    def step(self, pos: int, t: float) -> None:
-        self.w *= (1.0 - t)
-        self.w[pos] += t
-
-
-def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int, gap_tol_bits: float):
-    state = _ActiveSetLogDet(atoms, gamma0)
-    p0 = state.add_atom(0)
-    state.w[p0] = 1.0
+    The M x M matrix is never formed: the active atoms are tracked by their
+    inner products with every atom (``cross``, active x K).  One Woodbury
+    solve per iteration gives the gradient scores a_k^H (I + g Q)^-1 a_k and,
+    on the active columns, the rank-r pencil of the segment toward the best
+    atom, whose eigenvalues drive the line search."""
+    idx = [0]
+    w = np.ones(1)
+    cross = (atoms[0].conj() @ atoms.T)[None, :]
     gap_nats = math.inf
     for _ in range(iters):
-        s = state.scores()
+        live = w > 1e-300  # weights sum to 1, so at least one is live
+        c = cross[live]
+        b_inv = np.diag(1.0 / (gamma0 * w[live]))
+        sol = np.linalg.solve(b_inv + c[:, np.asarray(idx)[live]], c)
+        s = 1.0 - np.einsum("ik,ik->k", c.conj(), sol).real
         k_best = int(np.argmax(s))          # ties: lowest grid index wins
-        trace_q = float(np.dot(state.w, s[state.idx]))
-        gap_nats = gamma0 * (float(s[k_best]) - trace_q)
+        gap_nats = gamma0 * (float(s[k_best]) - float(np.dot(w, s[idx])))
         if gap_nats / math.log(2) <= gap_tol_bits:
             break
-        pos = state.add_atom(k_best)
-        lam = state.line_search_eigs(pos)
+        if k_best not in idx:
+            cross = np.vstack([cross, (atoms[k_best].conj() @ atoms.T)[None, :]])
+            idx.append(k_best)
+            w = np.append(w, 0.0)
+        pos = idx.index(k_best)
+        # eigenvalues of M0^-1 (M1 - M0) on the active subspace
+        vmv = cross[:, idx] - c[:, idx].conj().T @ sol[:, idx]
+        s_diag = -gamma0 * w
+        s_diag[pos] += gamma0
+        lam = np.linalg.eigvals(np.diag(s_diag) @ vmv).real
 
         def dphi(t):
             return float(np.sum(lam / (1.0 + t * lam)))
@@ -153,23 +105,19 @@ def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int, gap_tol_bits: flo
                 else:
                     hi = mid
             t_star = 0.5 * (lo + hi)
-        state.step(pos, t_star)
-    converged = gap_nats / math.log(2) <= gap_tol_bits
-    return state, converged, gap_nats / math.log(2)
+        w *= (1.0 - t_star)
+        w[pos] += t_star
+    sw = np.sqrt(np.maximum(w, 0.0))
+    h = np.eye(len(w)) + gamma0 * (sw[:, None] * cross[:, idx] * sw[None, :])
+    gap_bits = gap_nats / math.log(2)
+    return float(np.linalg.slogdet(h)[1]), gap_bits <= gap_tol_bits, gap_bits
 
 
 def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> np.ndarray:
-    """Steering vectors of the grid_n x grid_n support grid (z varies fastest),
-    built in place as one outer product of the per-axis phase vectors."""
+    """Steering vectors of the grid_n x grid_n support grid (z varies fastest)."""
     ys = np.linspace(-scene.extent_y / 2, scene.extent_y / 2, grid_n)
     zs = np.linspace(-scene.extent_z / 2, scene.extent_z / 2, grid_n)
-    py = np.exp(1j * np.pi * (ys / scene.distance_d)[:, None] * np.arange(array.m_y))
-    pz = np.exp(1j * np.pi * (zs / scene.distance_d)[:, None] * np.arange(array.m_z))
-    atoms = np.empty((grid_n * grid_n, array.m_total), dtype=complex)
-    np.multiply(py[:, None, :, None], pz[None, :, None, :],
-                out=atoms.reshape(grid_n, grid_n, array.m_y, array.m_z))
-    atoms /= np.sqrt(array.m_total)
-    return atoms
+    return steering_matrix(ys[:, None], zs, array, scene).reshape(grid_n * grid_n, -1)
 
 
 def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
@@ -185,12 +133,12 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     atoms = support_grid_atoms(scene, array, grid_n)
-    state, converged, gap_bits = _fw_maximize(atoms, scene.snr_gamma0,
-                                              fw_iters, gap_tol_bits)
+    nats, converged, gap_bits = _fw_maximize(atoms, scene.snr_gamma0,
+                                             fw_iters, gap_tol_bits)
     if not converged:
         _warn(f"support-bound solver stopped at duality gap {gap_bits:.3g} "
               f"bits after {fw_iters} iterations")
-    return state.objective_nats() / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
+    return nats / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
 
 
 def info_bound_support(eps: float, scene: SceneConfig, array: ArrayConfig,
@@ -267,18 +215,18 @@ def stationary_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
     return (eps / xi_h_factor(scene, array)) * y_star * math.exp(y_star)
 
 
-def optimal_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig,
-                      window: int = 2) -> tuple[float, int]:
+def optimal_snapshots(eps: float, scene: SceneConfig,
+                      array: ArrayConfig) -> tuple[float, int]:
     """Stationary point of the closed-form rate and its integer refinement.
 
     The continuous optimum is stationary_snapshots.  The integer value
-    re-evaluates the exact hexagonal-design rate on every integer within
-    ``window`` of the stationary point (clamped to L >= 1); ties prefer the
+    re-evaluates the exact hexagonal-design rate on every integer within 2
+    of the stationary point (clamped to L >= 1); ties prefer the
     smaller L.
     """
     l_cont = stationary_snapshots(eps, scene, array)
-    lo = max(1, math.floor(l_cont) - window)
-    hi = max(1, math.ceil(l_cont) + window)
+    lo = max(1, math.floor(l_cont) - 2)
+    hi = max(1, math.ceil(l_cont) + 2)
     best_l, best_rate = lo, -1.0
     for l in range(lo, hi + 1):
         _, rep = hexagonal_design(eps, scene.with_snapshots(l), array)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, Position, SceneConfig, _warn
+from .arrays import ArrayConfig, Position, SceneConfig, _warn, position_in_plane
 from .field import (b_codebook, bhattacharyya_grid, field_ceiling,
                     quadratic_params)
 
@@ -106,9 +106,8 @@ def make_codebook(positions, array: ArrayConfig, scene: SceneConfig) -> Codebook
     the exact reliability check."""
     pos = tuple(Position(float(p[0]), float(p[1])) if not isinstance(p, Position)
                 else p for p in positions)
-    tol = 1e-9
     for p in pos:
-        if abs(p.y) > scene.extent_y / 2 + tol or abs(p.z) > scene.extent_z / 2 + tol:
+        if not position_in_plane(p, scene, tol=1e-9):
             raise ValueError(f"codeword ({p.y}, {p.z}) lies outside the plane")
     return Codebook(pos, array, scene)
 
@@ -223,18 +222,18 @@ def hexagonal_size(eps: float, l: int, scene: SceneConfig,
 
 
 def hexagonal_size_fixed_point(eps: float, l: int, scene: SceneConfig,
-                               array: ArrayConfig, j0: float = 2.0,
-                               max_iter: int = 500) -> float:
+                               array: ArrayConfig) -> float:
     """Size by iterating J <- Xi_h L / log(J/eps); solves the same equation as
     the Lambert-W closed form and is used as its cross-check.
 
-    Iterates are clamped above eps*e where the map is defined and bounded;
-    below that the design is degenerate (under one codeword) anyway.
+    Starts at J = 2 and stops after 500 iterations.  Iterates are clamped
+    above eps*e where the map is defined and bounded; below that the design
+    is degenerate (under one codeword) anyway.
     """
     xl = xi_h_factor(scene, array) * l
     floor = eps * math.e
-    j = max(j0, floor)
-    for _ in range(max_iter):
+    j = max(2.0, floor)
+    for _ in range(500):
         j_next = max(xl / math.log(j / eps), floor)
         if abs(j_next - j) <= 1e-12 * max(1.0, abs(j_next)):
             return j_next

@@ -124,8 +124,7 @@ def quadratic_params(array: ArrayConfig, scene: SceneConfig) -> QuadraticFieldPa
     d2 = scene.distance_d ** 2
     alpha_y = np.pi ** 2 * (array.m_y ** 2 - 1) / (12.0 * d2)
     alpha_z = np.pi ** 2 * (array.m_z ** 2 - 1) / (12.0 * d2)
-    b_null = float(np.log1p(_kappa(scene.snr_gamma0)))
-    cap = 0.01 * min(b_null, 1.0)
+    cap = 0.01 * min(field_ceiling(scene), 1.0)
     return QuadraticFieldParams(_kappa(scene.snr_gamma0), float(alpha_y),
                                 float(alpha_z), cap)
 

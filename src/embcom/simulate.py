@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SceneConfig, steering_vector
+from .arrays import ArrayConfig, SceneConfig, steering_matrix, steering_vector
 from .codebook import Codebook
 from .field import bhattacharyya_grid
 
@@ -68,10 +68,6 @@ def draw_channel_use(cb: Codebook, j: int, rng_seed: int, scene: SceneConfig,
     return SnapshotBatch(y, j)
 
 
-def _steering_matrix(cb: Codebook, array: ArrayConfig, scene: SceneConfig) -> np.ndarray:
-    return np.array([steering_vector(p, array, scene) for p in cb.positions])
-
-
 def _energy_statistics(proj: np.ndarray) -> np.ndarray:
     # a_j^H Y Y^H a_j accumulated over snapshots, from the matched-filter
     # outputs proj[..., j, l] = a_j^H y_l
@@ -105,7 +101,7 @@ def ml_decode(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     Ties resolve to the lowest index."""
     if len(cb) < 1:
         raise ValueError("codebook is empty")
-    a_conj = _steering_matrix(cb, array, scene).conj()
+    a_conj = steering_matrix(*cb.as_array().T, array, scene).conj()
     return int(np.argmax(_energy_statistics(a_conj @ batch.y_matrix)))
 
 
@@ -114,23 +110,25 @@ def ml_decode_loglik(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     """Reference decoder minimizing the full negative log-likelihood
     L log det R_j + tr(R_j^-1 Y Y^H) with explicit M x M covariances; agrees
     with the energy form since det R_j is hypothesis independent."""
+    if len(cb) < 1:
+        raise ValueError("codebook is empty")
     m = array.m_total
     l = scene.snapshots_l
     s2, g0 = scene.noise_var_sigma2, scene.snr_gamma0
     yyh = batch.y_matrix @ batch.y_matrix.conj().T
     costs = []
-    for p in cb.positions:
-        a = steering_vector(p, array, scene)
+    for a in steering_matrix(*cb.as_array().T, array, scene):
         r = s2 * (np.eye(m) + g0 * np.outer(a, a.conj()))
         sign, logdet = np.linalg.slogdet(r)
         costs.append(l * logdet + np.trace(np.linalg.solve(r, yyh)).real)
     return int(np.argmin(costs))
 
 
-def wilson_halfwidth(errors: int, trials: int, z: float = 1.959963984540054) -> float:
-    """Half-width of the Wilson score interval for a binomial rate."""
+def wilson_halfwidth(errors: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial rate."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = 1.959963984540054  # standard normal 97.5% quantile
     p = errors / trials
     denom = 1.0 + z * z / trials
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4.0 * trials * trials))
@@ -194,7 +192,8 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     if j < 1:
         raise ValueError("codebook is empty")
     l = scene.snapshots_l
-    a_mat = _steering_matrix(cb, array, scene)
+    pts = cb.as_array()
+    a_mat = steering_matrix(*pts.T, array, scene)
     gram = np.einsum("jm,km->jk", a_mat.conj(), a_mat)
     # the draws' scale sqrt(variance / 2) per part is folded into the factors
     # once, not applied per trial
@@ -218,7 +217,6 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     worst = int(np.argmax(per_cw_err))
     hw_max = wilson_halfwidth(n - int(confusion[worst, worst]), n)
 
-    pts = cb.as_array()
     dy = pts[:, None, 0] - pts[None, :, 0]
     dz = pts[:, None, 1] - pts[None, :, 1]
     b = bhattacharyya_grid(dy, dz, array, scene)

@@ -150,12 +150,11 @@ def closed_form_lstar_int(eps: float, scene: SceneConfig, array: ArrayConfig) ->
 
 
 def exhaustive_closed_form_lstar(eps: float, scene: SceneConfig,
-                                 array: ArrayConfig, l_hi: int | None = None) -> int:
-    """Argmax of the smooth closed-form rate over L = 1..l_hi (ties to the
-    smaller L)."""
+                                 array: ArrayConfig) -> int:
+    """Argmax of the smooth closed-form rate over L = 1..max(10, ceil(3 L*)
+    + 10), L* the stationary point (ties to the smaller L)."""
     l_cont = stationary_snapshots(eps, scene, array)
-    if l_hi is None:
-        l_hi = max(10, int(math.ceil(3 * l_cont)) + 10)
+    l_hi = max(10, int(math.ceil(3 * l_cont)) + 10)
     best_l, best_r = 1, -1.0
     for l in range(1, l_hi + 1):
         r = closed_form_rate(l, eps, scene, array)

@@ -3,7 +3,17 @@ import pytest
 
 from embcom.arrays import (ArrayConfig, Displacement, Position, SceneConfig,
                            gamma0_from_link_budget, position_to_angles,
-                           steering_correlation_exact, steering_vector)
+                           steering_correlation_exact, steering_matrix,
+                           steering_vector)
+from embcom.bounds import support_grid_atoms
+
+
+def kron_reference(y, z, array, scene):
+    """Steering vector as the Kronecker product of the two axis phase vectors
+    (y-axis phases vary slowest)."""
+    ph_y = np.exp(1j * np.pi * (y / scene.distance_d) * np.arange(array.m_y))
+    ph_z = np.exp(1j * np.pi * (z / scene.distance_d) * np.arange(array.m_z))
+    return np.kron(ph_y, ph_z) / np.sqrt(array.m_total)
 
 
 def test_angle_mapping_center(ref_scene):
@@ -59,6 +69,20 @@ def test_steering_norm_and_kronecker(ref_array, ref_scene):
         expect = np.exp(1j * np.pi * (m * r.y + n * r.z) / ref_scene.distance_d)
         expect /= np.sqrt(ref_array.m_total)
         assert a[m * ref_array.m_z + n] == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("m_y, m_z", [(64, 16), (8, 4), (4, 2), (7, 3), (1, 1)])
+def test_steering_formula_matches_kronecker_bitwise(ref_scene, m_y, m_z):
+    arr = ArrayConfig(m_y, m_z)
+    pts = np.random.default_rng(m_y * m_z).uniform(-1, 1, size=(300, 2))
+    ref = np.array([kron_reference(y, z, arr, ref_scene) for y, z in pts])
+    vecs = np.array([steering_vector(Position(y, z), arr, ref_scene) for y, z in pts])
+    assert np.array_equal(vecs, ref)
+    assert np.array_equal(steering_matrix(pts[:, 0], pts[:, 1], arr, ref_scene), ref)
+    for n in (1, 7, 41):
+        ax = np.linspace(-1.0, 1.0, n)
+        grid = np.array([kron_reference(y, z, arr, ref_scene) for y in ax for z in ax])
+        assert np.array_equal(support_grid_atoms(ref_scene, arr, n), grid)
 
 
 def test_steering_two_element_phase(ref_scene):

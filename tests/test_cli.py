@@ -103,6 +103,18 @@ def test_codebook_asymmetric_array_manifest(tmp_path):
     assert manifest["nn_gap_y_m"] < manifest["nn_gap_z_m"]
 
 
+def test_imported_nan_codeword_rejected(tmp_path, capsys):
+    # NaN fails every comparison, so a plane test of the form "outside when
+    # |y| > half extent" would accept it
+    csv = tmp_path / "nan.csv"
+    csv.write_text("index,y_m,z_m\n0,0.0,0.0\n1,nan,0.0\n")
+    assert run(tmp_path, "codebook", "--verify", str(csv)) == 1
+    assert run(tmp_path, *SMALL_SIM, "simulate", "--codebook", str(csv)) == 1
+    assert capsys.readouterr().err.count("codeword (nan, 0.0) lies outside") == 2
+    assert not (tmp_path / "design_manifest.json").exists()
+    assert not (tmp_path / "sim_report.json").exists()
+
+
 def test_simulate_gate_and_negative_control(tmp_path):
     assert run(tmp_path, *SMALL_SIM, "--seed", "5", "simulate") == 0
     rep = json.loads((tmp_path / "sim_report.json").read_text())

@@ -4,12 +4,12 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from embcom.arrays import ArrayConfig, SceneConfig
+from embcom.arrays import ArrayConfig, SceneConfig, steering_matrix
 from embcom.codebook import make_codebook
 from embcom.field import bhattacharyya_exact
 from embcom.arrays import Displacement
 from embcom import simulate
-from embcom.simulate import (_gram_factor, _steering_matrix, draw_channel_use,
+from embcom.simulate import (_gram_factor, draw_channel_use,
                              estimate_errors, ml_decode, ml_decode_loglik,
                              wilson_halfwidth)
 
@@ -97,7 +97,13 @@ def test_decoder_tie_breaks_low_index(sim_setup):
 def test_decoder_singleton(sim_setup):
     arr, sc, _ = sim_setup
     cb = make_codebook([(0.1, 0.1)], arr, sc)
-    assert ml_decode(draw_channel_use(cb, 0, 1, sc, arr), cb, arr, sc) == 0
+    batch = draw_channel_use(cb, 0, 1, sc, arr)
+    assert ml_decode(batch, cb, arr, sc) == 0
+    assert ml_decode_loglik(batch, cb, arr, sc) == 0
+    empty = make_codebook([], arr, sc)
+    for decode in (ml_decode, ml_decode_loglik):
+        with pytest.raises(ValueError, match="codebook is empty"):
+            decode(batch, empty, arr, sc)
 
 
 def test_decoder_matches_loglik_form(sim_setup):
@@ -180,7 +186,7 @@ def test_binary_converse_floor(ref_array, ref_scene):
 
 
 def _gram(cb, array, scene):
-    a = _steering_matrix(cb, array, scene)
+    a = steering_matrix(*cb.as_array().T, array, scene)
     return np.einsum("jm,km->jk", a.conj(), a)
 
 
@@ -218,7 +224,7 @@ def test_gram_factor_reproduces_gram(ref_array, ref_scene, small_array):
 def full_synthesis_confusion(cb, trials, seed, scene, array):
     """Reference: draw every trial's full M x L snapshot and pick the codeword
     with the most matched-filter energy sum_l |a_j^H y_l|^2."""
-    a_conj = _steering_matrix(cb, array, scene).conj()
+    a_conj = steering_matrix(*cb.as_array().T, array, scene).conj()
     j = len(cb)
     confusion = np.zeros((j, j), dtype=np.int64)
     for i in range(j):
