@@ -9,40 +9,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299_792_458.0
-"Speed of light in m/s."
-
 
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform planar array in the yz-plane, broadside along +x.
 
-    Elements are spaced exactly half a wavelength apart; the element count is
+    Elements are spaced exactly half a wavelength apart, so the carrier
+    wavelength cancels out of every steering phase; the element count is
     ``m_y * m_z``.
     """
 
     m_y: int
     m_z: int
-    wavelength: float = SPEED_OF_LIGHT / 7e9
-    spacing_over_wavelength: float = 0.5
 
     def __post_init__(self):
         if self.m_y < 1 or int(self.m_y) != self.m_y:
             raise ValueError(f"array.m_y must be a positive integer, got {self.m_y}")
         if self.m_z < 1 or int(self.m_z) != self.m_z:
             raise ValueError(f"array.m_z must be a positive integer, got {self.m_z}")
-        if self.wavelength <= 0:
-            raise ValueError(f"array.wavelength must be > 0, got {self.wavelength}")
-        if self.spacing_over_wavelength != 0.5:
-            raise ValueError("array.spacing_over_wavelength is fixed at 0.5")
 
     @property
     def m_total(self) -> int:
         return self.m_y * self.m_z
-
-    @property
-    def spacing(self) -> float:
-        return self.wavelength * self.spacing_over_wavelength
 
 
 @dataclass(frozen=True)

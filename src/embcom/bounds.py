@@ -121,7 +121,7 @@ def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> n
 
 
 def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
-                      fw_iters: int = 200, gap_tol_bits: float = 1e-6) -> float:
+                      fw_iters: int = 400, gap_tol_bits: float = 1e-6) -> float:
     """Grid-restricted per-snapshot information of the support-constrained
     converse, in bits.
 
@@ -142,7 +142,7 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
 
 
 def info_bound_support(eps: float, scene: SceneConfig, array: ArrayConfig,
-                       grid_n: int = 41, fw_iters: int = 200,
+                       grid_n: int = 41, fw_iters: int = 400,
                        gap_tol_bits: float = 1e-6) -> float:
     """Fano converse with the grid-restricted support-constrained
     per-snapshot value of snap_info_support."""

@@ -113,6 +113,15 @@ def _nn_axis_gaps(pts: np.ndarray) -> tuple[float, float]:
     return gap(pts[:, 0]), gap(pts[:, 1])
 
 
+def _configured_design(cfg: RunConfig):
+    """Hexagonal design at the configured lattice rotation and offset."""
+    return hexagonal_design(
+        cfg.eps, cfg.scene, cfg.array,
+        rotation=cfg.get("design", "hex_rotation_rad"),
+        offset_w=(cfg.get("design", "hex_offset_y"),
+                  cfg.get("design", "hex_offset_z")))
+
+
 def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> int:
     array, scene, eps = cfg.array, cfg.scene, cfg.eps
     params = quadratic_params(array, scene)
@@ -122,11 +131,7 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
         mode = "verify"
         greedy_j = None
     else:
-        cb, rep = hexagonal_design(
-            eps, scene, array,
-            rotation=cfg.get("design", "hex_rotation_rad"),
-            offset_w=(cfg.get("design", "hex_offset_y"),
-                      cfg.get("design", "hex_offset_z")))
+        cb, rep = _configured_design(cfg)
         greedy = greedy_packing_baseline(eps, scene, array,
                                          cfg.get("design", "greedy_grid_step_m"))
         greedy_j = len(greedy)
@@ -212,12 +217,12 @@ def _subsample(cb, cap: int, seed: int):
 
 def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
                  corrupt: bool = False) -> int:
-    array, scene, eps = cfg.array, cfg.scene, cfg.eps
+    array, scene = cfg.array, cfg.scene
     seed = cfg.get("sim", "seed")
     if codebook_path is not None:
         cb = codebook_from_csv(codebook_path, array, scene)
     else:
-        cb, _ = hexagonal_design(eps, scene, array)
+        cb, _ = _configured_design(cfg)
     if len(cb) < 2:
         raise ValueError(
             "simulation needs at least 2 codewords; the configured design "

@@ -57,7 +57,8 @@ class Codebook:
         return len(self.positions)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[p.y, p.z] for p in self.positions], dtype=float)
+        return np.array([[p.y, p.z] for p in self.positions],
+                        dtype=float).reshape(-1, 2)
 
     @property
     def min_pairwise_b(self) -> float:

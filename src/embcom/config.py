@@ -7,7 +7,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .arrays import SPEED_OF_LIGHT, ArrayConfig, SceneConfig, db_to_linear
+from .arrays import ArrayConfig, SceneConfig, db_to_linear
 
 __all__ = ["RunConfig", "load_config", "resolved_items"]
 
@@ -19,8 +19,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "array": {
         "m_y": ("int", 64),
         "m_z": ("int", 16),
-        "frequency_hz": ("float", None),
-        "wavelength_m": ("float", None),
     },
     "scene": {
         "distance_m": ("float", 100.0),
@@ -97,14 +95,7 @@ class RunConfig:
 
     @property
     def array(self) -> ArrayConfig:
-        freq = self.get("array", "frequency_hz")
-        wl = self.get("array", "wavelength_m")
-        if freq is not None and wl is not None:
-            raise ValueError("give array.frequency_hz or array.wavelength_m, not both")
-        if wl is None:
-            wl = SPEED_OF_LIGHT / (freq if freq is not None else 7e9)
-        return ArrayConfig(self.get("array", "m_y"), self.get("array", "m_z"),
-                           wavelength=wl)
+        return ArrayConfig(self.get("array", "m_y"), self.get("array", "m_z"))
 
     @property
     def scene(self) -> SceneConfig:

@@ -163,19 +163,10 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scene: SceneConfig
     warning per L; if no ray crosses, the entry is inf (no two in-plane
     positions are distinguishable at this eps and L).
     """
-    return _separations(eps, ls, array, scene, n_rays, tol)
-
-
-def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,
-                              scene: SceneConfig, n_rays: int = 720,
-                              tol: float = 1e-5) -> float:
-    """Necessary separation at one snapshot count; see necessary_separations."""
-    return float(_separations(eps, (l,), array, scene, n_rays, tol)[0])
-
-
-def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
     r_max = float(np.hypot(scene.extent_y, scene.extent_z))
     psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
@@ -191,7 +182,7 @@ def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
                      dtype=np.intp).reshape(len(targets), n_rays)
 
     # bisect every crossing (L, ray) pair together, each until its own
-    # bracket is within tol
+    # bracket is within tol or its ends are adjacent floats
     li, ri = np.nonzero(first <= n_steps)
     k = first[li, ri]
     lo, hi = radii[k - 1], radii[k]
@@ -199,6 +190,8 @@ def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
     act = np.nonzero(hi - lo > tol)[0]
     while act.size:
         mid = 0.5 * (lo[act] + hi[act])
+        moves = (mid != lo[act]) & (mid != hi[act])
+        act, mid = act[moves], mid[moves]
         up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
         hi[act] = np.where(up, mid, hi[act])
         lo[act] = np.where(up, lo[act], mid)
@@ -212,6 +205,13 @@ def _separations(eps, ls, array, scene, n_rays, tol) -> np.ndarray:
                   f"threshold within the plane diameter at L={l} (degenerate "
                   "or SNR-starved axis)")
     return best.min(axis=1)
+
+
+def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,
+                              scene: SceneConfig, n_rays: int = 720,
+                              tol: float = 1e-5) -> float:
+    """Necessary separation at one snapshot count; see necessary_separations."""
+    return float(necessary_separations(eps, (l,), array, scene, n_rays, tol)[0])
 
 
 def dnec_mainlobe(eps: float, l: int, array: ArrayConfig, scene: SceneConfig) -> float:

@@ -106,7 +106,7 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
 
 def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                 snr_db_list, l_list, n_rays: int = 720, tol: float = 1e-5,
-                grid_n: int = 41, fw_iters: int = 200,
+                grid_n: int = 41, fw_iters: int = 400,
                 gap_tol_bits: float = 1e-6) -> tuple[list[BoundPoint], bool]:
     """Every converse next to the hexagonal-design rate at each (gamma0, L)
     grid point, and whether the rate exceeds any of them.  The support value

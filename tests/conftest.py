@@ -1,11 +1,11 @@
 import pytest
 
-from embcom import ArrayConfig, SceneConfig
+from embcom import ArrayConfig, SceneConfig, field
 
 
 @pytest.fixture
 def ref_array():
-    """64x16 UPA used by the reference numerical setup (7 GHz carrier)."""
+    """Half-wavelength 64x16 UPA used by the reference numerical setup."""
     return ArrayConfig(64, 16)
 
 
@@ -19,3 +19,20 @@ def ref_scene():
 def small_array():
     """8x4 UPA for dense-matrix oracles."""
     return ArrayConfig(8, 4)
+
+
+@pytest.fixture
+def capped_field(monkeypatch):
+    """Make a ray search that calls the field over 10,000 times fail instead
+    of hang."""
+    calls = 0
+    exact = field.bhattacharyya_grid
+
+    def capped(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("ray search does not terminate")
+        return exact(*args)
+
+    monkeypatch.setattr(field, "bhattacharyya_grid", capped)

@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from embcom import bounds, field, sweep
 from embcom.cli import main
 from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import load_config
@@ -18,6 +20,34 @@ def test_unknown_key_rejected(tmp_path):
     assert run(tmp_path, "--set", "scene.bogus=1", "field") == 1
     assert run(tmp_path, "--set", "nosection.x=1", "field") == 1
     assert run(tmp_path, "--set", "scene.snapshots=oops", "field") == 1
+
+
+@pytest.mark.parametrize("key", ["array.frequency_hz", "array.wavelength_m"])
+def test_carrier_keys_rejected(tmp_path, capsys, key):
+    # the half-wavelength steering phase does not depend on the carrier
+    assert run(tmp_path, "--set", f"{key}=7e9", "field") == 1
+    assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+SOLVER_KEYS = {"n_rays": "dnec_rays", "tol": "dnec_tol_m",
+               "grid_n": "support_grid_n", "fw_iters": "fw_iters",
+               "gap_tol_bits": "fw_gap_tol_bits"}
+
+
+def test_library_solver_defaults_match_config():
+    cfg = load_config()
+    seen = set()
+    for module in (field, bounds, sweep):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.name in SOLVER_KEYS and param.default is not param.empty:
+                    seen.add(name)
+                    assert param.default == cfg.get(
+                        "solver", SOLVER_KEYS[param.name]), (name, param.name)
+    assert {"necessary_separations", "geo_bound", "snap_info_support",
+            "info_bound_support", "rate_sweep", "bound_sweep"} <= seen
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -130,6 +160,21 @@ def test_simulate_rejects_singleton_design(tmp_path):
     assert run(tmp_path, "--set", "scene.snr_db=0", "simulate") == 1
 
 
+def test_simulate_uses_configured_lattice(tmp_path):
+    rotated = ["--set", "design.hex_rotation_rad=0.5",
+               "--set", "sim.trials_per_codeword=100"]
+    assert run(tmp_path, *rotated, "--set", "scene.snr_db=25", "codebook") == 0
+    assert run(tmp_path, *rotated, "--set", "scene.snr_db=25", "simulate") == 0
+    rows = [[float(v) for v in l.split(",")[1:]]
+            for l in (tmp_path / "codebook.csv").read_text().splitlines()
+            if l and not l.startswith(("#", "index"))]
+    rep = json.loads((tmp_path / "sim_report.json").read_text())
+    assert len(rows) == 7
+    assert rep["codewords"] == rows
+    # at 20 dB the rotated design is one codeword, the unrotated one three
+    assert run(tmp_path, *rotated, "--set", "scene.snr_db=20", "simulate") == 1
+
+
 CAP_OVERRIDES = ["scene.snr_db=30", "sim.trials_per_codeword=100"]
 CAP_SIM = [arg for o in CAP_OVERRIDES for arg in ("--set", o)]
 
@@ -189,6 +234,14 @@ def test_bounds_csv(tmp_path):
                                     float(row[6]), float(row[7]))
     assert rate <= univ and rate <= geo and sup <= univ
     assert geo_ml >= 0.0
+
+
+@pytest.mark.parametrize("tol, code", [("0", 0), ("1e-300", 0), ("-1", 1),
+                                       ("nan", 1)])
+def test_sweep_ray_search_tolerance(tmp_path, capped_field, tol, code):
+    assert run(tmp_path, "--set", f"solver.dnec_tol_m={tol}",
+               "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5",
+               "sweep") == code
 
 
 def test_bounds_support_gate(tmp_path, capsys):

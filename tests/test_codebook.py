@@ -97,6 +97,13 @@ def test_verify_singleton_trivial(ref_array, ref_scene):
     assert rep.feasible and rep.rate_bits_per_pulse == 0.0
 
 
+def test_empty_codebook_is_a_zero_row_matrix(ref_array, ref_scene):
+    cb = make_codebook([], ref_array, ref_scene)
+    assert cb.as_array().shape == (0, 2)
+    rep = verify_codebook(cb, 1e-3, ref_scene, ref_array)
+    assert rep.j == 0 and rep.feasible and rep.rate_bits_per_pulse == 0.0
+
+
 def test_codeword_outside_plane_rejected(ref_array, ref_scene):
     with pytest.raises(ValueError):
         make_codebook([(1.5, 0.0)], ref_array, ref_scene)

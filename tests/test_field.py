@@ -292,3 +292,18 @@ def test_scalar_dnec_wraps_batch(ref_array, ref_scene):
     assert necessary_separations(1e-3, (), ref_array, ref_scene).shape == (0,)
     with pytest.raises(ValueError):
         necessary_separations(1e-3, (5,), ref_array, ref_scene, n_rays=0)
+
+
+def test_dnec_bisection_stops_at_adjacent_floats(capped_field, ref_array, ref_scene):
+    sc = ref_scene.with_snr(100.0)
+    coarse = necessary_separation_dnec(1e-3, 5, ref_array, sc, n_rays=90)
+    for tol in (1e-300, 0.0):
+        tight = necessary_separation_dnec(1e-3, 5, ref_array, sc, n_rays=90, tol=tol)
+        assert coarse - 1e-5 <= tight <= coarse
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_dnec_rejects_bad_tolerance(capped_field, ref_array, ref_scene, tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        necessary_separation_dnec(1e-3, 5, ref_array, ref_scene.with_snr(100.0),
+                                  n_rays=90, tol=tol)
