@@ -57,29 +57,36 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
 def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int,
                  gap_tol_bits: float) -> tuple[float, bool, float]:
     """Maximizes log det(I + g Q) over convex mixtures Q = sum_k w_k a_k a_k^H
-    of the rank-one atoms (rows of ``atoms``) by conditional gradient with
-    exact line search, starting at atom 0; returns (objective nats,
-    converged, duality gap bits).
+    of the rank-one atoms (rows of ``atoms``) by pairwise conditional
+    gradient with exact line search, starting at atom 0; returns (objective
+    nats, converged, duality gap bits).
 
+    Each step moves weight from the live active atom with the lowest score
+    (the away atom) to the atom with the highest (the FW atom); a step that
+    moves all of the away atom's weight sets it to exactly 0 (a drop step).
     The M x M matrix is never formed: the active atoms are tracked by their
     inner products with every atom (``cross``, active x K).  One Woodbury
     solve per iteration gives the gradient scores a_k^H (I + g Q)^-1 a_k and,
-    on the active columns, the rank-r pencil of the segment toward the best
-    atom, whose eigenvalues drive the line search."""
+    on the active columns, the rank-two pencil of the pairwise segment,
+    whose eigenvalues drive the line search."""
     idx = [0]
     w = np.ones(1)
     cross = (atoms[0].conj() @ atoms.T)[None, :]
     gap_nats = math.inf
     for _ in range(iters):
         live = w > 1e-300  # weights sum to 1, so at least one is live
+        act = np.asarray(idx)[live]
         c = cross[live]
         b_inv = np.diag(1.0 / (gamma0 * w[live]))
-        sol = np.linalg.solve(b_inv + c[:, np.asarray(idx)[live]], c)
+        sol = np.linalg.solve(b_inv + c[:, act], c)
         s = 1.0 - np.einsum("ik,ik->k", c.conj(), sol).real
         k_best = int(np.argmax(s))          # ties: lowest grid index wins
         gap_nats = gamma0 * (float(s[k_best]) - float(np.dot(w, s[idx])))
         if gap_nats / math.log(2) <= gap_tol_bits:
             break
+        away = int(np.flatnonzero(live)[np.argmin(s[act])])
+        if idx[away] == k_best:
+            break  # no pairwise direction left: the step would be zero
         if k_best not in idx:
             cross = np.vstack([cross, (atoms[k_best].conj() @ atoms.T)[None, :]])
             idx.append(k_best)
@@ -87,26 +94,27 @@ def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int,
         pos = idx.index(k_best)
         # eigenvalues of M0^-1 (M1 - M0) on the active subspace
         vmv = cross[:, idx] - c[:, idx].conj().T @ sol[:, idx]
-        s_diag = -gamma0 * w
-        s_diag[pos] += gamma0
+        s_diag = np.zeros(len(idx))
+        s_diag[pos], s_diag[away] = gamma0, -gamma0
         lam = np.linalg.eigvals(np.diag(s_diag) @ vmv).real
 
         def dphi(t):
             return float(np.sum(lam / (1.0 + t * lam)))
 
-        if dphi(1.0) >= 0.0:
-            t_star = 1.0
-        else:
-            lo, hi = 0.0, 1.0
+        t_star = float(w[away])
+        if dphi(t_star) < 0.0:
+            lo, hi = 0.0, t_star
             for _ in range(70):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:  # adjacent floats: the bracket is final
+                    break
                 if dphi(mid) > 0.0:
                     lo = mid
                 else:
                     hi = mid
             t_star = 0.5 * (lo + hi)
-        w *= (1.0 - t_star)
         w[pos] += t_star
+        w[away] -= t_star  # exactly 0 after a drop step (t_star == w[away])
     sw = np.sqrt(np.maximum(w, 0.0))
     h = np.eye(len(w)) + gamma0 * (sw[:, None] * cross[:, idx] * sw[None, :])
     gap_bits = gap_nats / math.log(2)

@@ -190,7 +190,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
         gap_tol_bits=cfg.get("solver", "fw_gap_tol_bits"))
     _write_table(out / "bounds.csv", cfg, BoundPoint, rows)
     if violation:
-        print("bound violation detected in sweep", file=sys.stderr)
+        print("bound violation detected in bounds", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

@@ -66,6 +66,17 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
+# (section, key, smallest legal value).  The simulator's subsample keeps the
+# worst pair, so it needs two codewords; FW needs one iteration for a gap.
+_LOWER_LIMITS = (
+    ("sim", "max_codewords", 2),
+    ("solver", "dnec_rays", 1),
+    ("solver", "dnec_tol_m", 0),
+    ("solver", "support_grid_n", 1),
+    ("solver", "fw_iters", 1),
+    ("solver", "fw_gap_tol_bits", 0),
+)
+
 
 def _convert(section: str, key: str, raw: str):
     kind, _ = _SCHEMA[section][key]
@@ -165,10 +176,10 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     cfg.array
     cfg.scene
     cfg.eps
-    cap = cfg.get("sim", "max_codewords")
-    if cap < 2:
-        # the subsample keeps the worst pair, so fewer than two cannot be met
-        raise ValueError(f"sim.max_codewords must be >= 2, got {cap}")
+    for sec, key, lo in _LOWER_LIMITS:
+        v = cfg.get(sec, key)
+        if not v >= lo:  # also rejects NaN
+            raise ValueError(f"{sec}.{key} must be >= {lo}, got {v}")
     return cfg
 
 

@@ -12,6 +12,7 @@ from embcom.bounds import (_fw_maximize, binary_entropy, geo_bound,
                            packing_count, snap_info_support, snap_info_universal,
                            support_grid_atoms)
 from embcom.codebook import hexagonal_design, xi_h_factor
+from embcom.config import load_config
 from embcom.field import dnec_mainlobe
 
 
@@ -103,17 +104,183 @@ def test_fw_objective_nondecreasing(ref_array, ref_scene):
         prev = val
 
 
-@pytest.mark.parametrize("snr_db, bits", [(0, 0.1477031429255753),
-                                           (15, 3.5845019846975923),
-                                           (20, 6.520577796084413)])
-def test_support_solver_values_locked(ref_array, ref_scene, snr_db, bits):
+def fw_70_step_reference(atoms, gamma0, iters, gap_tol_bits):
+    """_fw_maximize with all 70 line-search bisection steps taken, also after
+    the bracket's ends have become adjacent floats."""
+    idx = [0]
+    w = np.ones(1)
+    cross = (atoms[0].conj() @ atoms.T)[None, :]
+    gap_nats = math.inf
+    for _ in range(iters):
+        live = w > 1e-300
+        act = np.asarray(idx)[live]
+        c = cross[live]
+        b_inv = np.diag(1.0 / (gamma0 * w[live]))
+        sol = np.linalg.solve(b_inv + c[:, act], c)
+        s = 1.0 - np.einsum("ik,ik->k", c.conj(), sol).real
+        k_best = int(np.argmax(s))
+        gap_nats = gamma0 * (float(s[k_best]) - float(np.dot(w, s[idx])))
+        if gap_nats / math.log(2) <= gap_tol_bits:
+            break
+        away = int(np.flatnonzero(live)[np.argmin(s[act])])
+        if idx[away] == k_best:
+            break
+        if k_best not in idx:
+            cross = np.vstack([cross, (atoms[k_best].conj() @ atoms.T)[None, :]])
+            idx.append(k_best)
+            w = np.append(w, 0.0)
+        pos = idx.index(k_best)
+        vmv = cross[:, idx] - c[:, idx].conj().T @ sol[:, idx]
+        s_diag = np.zeros(len(idx))
+        s_diag[pos], s_diag[away] = gamma0, -gamma0
+        lam = np.linalg.eigvals(np.diag(s_diag) @ vmv).real
+
+        def dphi(t):
+            return float(np.sum(lam / (1.0 + t * lam)))
+
+        t_star = float(w[away])
+        if dphi(t_star) < 0.0:
+            lo, hi = 0.0, t_star
+            for _ in range(70):
+                mid = 0.5 * (lo + hi)
+                if dphi(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            t_star = 0.5 * (lo + hi)
+        w[pos] += t_star
+        w[away] -= t_star
+    sw = np.sqrt(np.maximum(w, 0.0))
+    h = np.eye(len(w)) + gamma0 * (sw[:, None] * cross[:, idx] * sw[None, :])
+    gap_bits = gap_nats / math.log(2)
+    return float(np.linalg.slogdet(h)[1]), gap_bits <= gap_tol_bits, gap_bits
+
+
+@pytest.mark.parametrize("grid_n", [11, 41])
+def test_fw_bisection_early_stop_matches_70_steps(ref_array, ref_scene, grid_n):
+    # once mid equals an end the bracket cannot move, so t* is unchanged
+    atoms = support_grid_atoms(ref_scene, ref_array, grid_n)
+    for snr_db in (0, 15, 20):
+        g = db_to_linear(snr_db)
+        assert _fw_maximize(atoms, g, 400, 1e-6) == \
+            fw_70_step_reference(atoms, g, 400, 1e-6)
+
+
+def multiplicative_reference(atoms, gamma0, iters=20000):
+    """Multiplicative algorithm (Silvey, Titterington & Torsney, 1978) on the
+    explicit M x M matrix, from uniform weights: w_k <- w_k d_k / (w . d) with
+    d_k = a_k^H (I + g Q)^-1 a_k; returns log det(I + g Q) in nats."""
+    k, m = atoms.shape
+    eye = np.eye(m)
+    w = np.full(k, 1.0 / k)
+    for _ in range(iters):
+        inv = np.linalg.inv(eye + gamma0 * (atoms.T * w) @ atoms.conj())
+        d = np.einsum("km,km->k", atoms.conj() @ inv, atoms).real
+        w = w * d / np.dot(w, d)
+        # off-support weights decay geometrically; as subnormals they carry
+        # no mass and slow the loop several-fold
+        w[w < 1e-200] = 0.0
+    return float(np.linalg.slogdet(eye + gamma0 * (atoms.T * w) @ atoms.conj())[1])
+
+
+def _random_atoms():
+    arr = ArrayConfig(4, 2)
+    sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
+    rng = np.random.default_rng(8)
+    return np.array([steering_vector(Position(rng.uniform(-1, 1),
+                                              rng.uniform(-1, 1)), arr, sc)
+                     for _ in range(9)]), 10.0
+
+
+def _grid_atoms_8x4_15db():
+    sc = SceneConfig(100.0, 2.0, 2.0, db_to_linear(15), 1.0, 5, 1.0)
+    return support_grid_atoms(sc, ArrayConfig(8, 4), 7), sc.snr_gamma0
+
+
+@pytest.mark.parametrize("problem", [_random_atoms, _grid_atoms_8x4_15db],
+                         ids=["random9-4x2", "grid7-8x4-15db"])
+def test_fw_matches_multiplicative_oracle(problem):
+    atoms, g = problem()
+    nats, converged, gap_bits = _fw_maximize(atoms, g, 5000, 1e-9)
+    assert converged
+    oracle = multiplicative_reference(atoms, g)
+    assert abs(oracle - nats) <= 1e-9
+    # the oracle is a feasible mixture, so it cannot pass FW's certificate
+    assert nats - 1e-12 <= oracle <= nats + gap_bits * math.log(2)
+
+
+def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatch):
+    """With no gap stop (tolerance 0) the run ends once the FW atom is also
+    the worst live atom, long before the cap, at the converged value."""
+    atoms = support_grid_atoms(ref_scene, small_array, 7)
+    g = ref_scene.snr_gamma0
+    converged_nats, ok, _ = _fw_maximize(atoms, g, 5000, 1e-9)
+    assert ok
+    solves = 0
+    solve = np.linalg.solve
+
+    def counting_solve(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    nats, converged, _ = _fw_maximize(atoms, g, 2000, 0.0)
+    assert math.isfinite(nats) and abs(nats - converged_nats) <= 1e-12
+    assert not converged and solves < 2000
+
+
+def test_fw_drop_step_zeroes_start_atom(small_array, monkeypatch):
+    """Atom 0 = (a1 + a2)/sqrt(2) of two orthogonal atoms lies outside the
+    optimal support {a1, a2}.  A drop step leaves it with weight exactly 0,
+    so its row of the final I + g W^1/2 G W^1/2 is e_0."""
+    sc = SceneConfig(100.0, 50.0, 2.0, 10.0, 1.0, 5, 1.0, far_field_ratio=0.3)
+    null = 2 * sc.distance_d / small_array.m_y
+    a1, a2 = (steering_vector(Position(y, 0.0), small_array, sc) for y in (0.0, null))
+    atoms = np.array([(a1 + a2) / math.sqrt(2), a1, a2])
+    final = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        lambda h: final.append(h) or slogdet(h))
+    nats, converged, _ = _fw_maximize(atoms, 10.0, 400, 1e-9)
+    assert converged
+    assert nats == pytest.approx(2 * math.log(1 + 10.0 / 2), abs=1e-12)
+    assert final[-1][0].tolist() == [1.0, 0.0, 0.0]
+
+
+def test_default_support_bound_converges():
+    # no "support-bound solver stopped" warning at any default SNR
+    cfg = load_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for snr_db in cfg.get("sweep", "snr_db_list"):
+            snap_info_support(cfg.scene.with_snr(db_to_linear(snr_db)), cfg.array,
+                              cfg.get("solver", "support_grid_n"),
+                              cfg.get("solver", "fw_iters"),
+                              cfg.get("solver", "fw_gap_tol_bits"))
+
+
+# pairwise FW values, and the duality gaps in bits of the vanilla FW values
+# they replaced (15 and 20 dB stopped at the 400-iteration cap)
+PAIRWISE_BITS = {0: 0.14770314292621767, 15: 3.5853846244332885,
+                 20: 6.520577796102887}
+VANILLA_GAP_BITS = {0: 1e-6, 15: 2.2e-3, 20: 4.1e-6}
+
+
+@pytest.mark.parametrize("snr_db, vanilla_bits", [(0, 0.1477031429255753),
+                                                   (15, 3.5845019846975923),
+                                                   (20, 6.520577796084413)])
+def test_support_solver_values_locked(ref_array, ref_scene, snr_db, vanilla_bits):
     """The Frank-Wolfe arithmetic is pinned bit for bit: the 64x16 array on
-    the 41 x 41 grid at 400 iterations and a 1e-6-bit gap (15 and 20 dB stop
-    at the iteration cap)."""
+    the 41 x 41 grid at 400 iterations and a 1e-6-bit gap, which every SNR
+    meets before the cap.  Each value lies in the certificate bracket
+    [old - 1e-6, old + old gap] of the vanilla FW value it replaced."""
     sc = ref_scene.with_snr(db_to_linear(snr_db))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert snap_info_support(sc, ref_array, 41, 400, 1e-6) == bits
+        warnings.simplefilter("error")
+        bits = snap_info_support(sc, ref_array, 41, 400, 1e-6)
+    assert bits == PAIRWISE_BITS[snr_db]
+    assert vanilla_bits - 1e-6 <= bits <= vanilla_bits + VANILLA_GAP_BITS[snr_db]
 
 
 def test_packing_area_formula():

@@ -244,6 +244,19 @@ def test_sweep_ray_search_tolerance(tmp_path, capped_field, tol, code):
                "sweep") == code
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dnec_rays", "0"), ("dnec_tol_m", "-1"), ("dnec_tol_m", "nan"),
+    ("support_grid_n", "0"), ("fw_iters", "0"), ("fw_gap_tol_bits", "-1"),
+    ("fw_gap_tol_bits", "nan")])
+def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
+    # before validation, fw_iters=0 ran no FW and exited 2 on a bogus violation
+    assert run(tmp_path, "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5",
+               "--set", "solver.dnec_rays=90", "--set", f"solver.{key}={value}",
+               "bounds") == 1
+    assert f"solver.{key} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_bounds_support_gate(tmp_path, capsys):
     # a one-point support grid carries no information and refines to itself,
     # so the 20 dB rate exceeds the grid-restricted support value: exit 2
