@@ -134,8 +134,8 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
     converse, in bits.
 
     The supremum of log2 det(I + g Q)/(1+g) over covariance mixtures from the
-    plane is approximated on a grid_n x grid_n position grid by conditional
-    gradient with exact line search.  Grid restriction lower-estimates the
+    plane is approximated on a grid_n x grid_n position grid by pairwise
+    conditional gradient with exact line search.  Grid restriction lower-estimates the
     true supremum, so the value is labeled grid-restricted.
     """
     if grid_n < 1:

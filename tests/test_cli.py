@@ -249,7 +249,7 @@ def test_sweep_ray_search_tolerance(tmp_path, capped_field, tol, code):
     ("support_grid_n", "0"), ("fw_iters", "0"), ("fw_gap_tol_bits", "-1"),
     ("fw_gap_tol_bits", "nan")])
 def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
-    # before validation, fw_iters=0 ran no FW and exited 2 on a bogus violation
+    # unchecked, fw_iters=0 runs no FW and reports a false violation (exit 2)
     assert run(tmp_path, "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5",
                "--set", "solver.dnec_rays=90", "--set", f"solver.{key}={value}",
                "bounds") == 1
