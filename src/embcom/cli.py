@@ -77,12 +77,18 @@ def _config_dict(cfg: RunConfig) -> dict:
 def cmd_field(cfg: RunConfig, out: Path) -> int:
     array, scene = cfg.array, cfg.scene
     n = cfg.get("field", "grid_points")
-    if n < 2:
-        raise ValueError(f"field.grid_points must be >= 2, got {n}")
     hy = cfg.get("field", "grid_half_y_m")
     hz = cfg.get("field", "grid_half_z_m")
-    if hy <= 0 or hz <= 0:
-        raise ValueError("field grid half-extents must be > 0")
+    radius = cfg.get("field", "profile_radius_m")
+    npsi = cfg.get("field", "profile_points")
+    # every key is checked before anything is computed or written
+    if n < 2:
+        raise ValueError(f"field.grid_points must be >= 2, got {n}")
+    if not (0 < hy < math.inf and 0 < hz < math.inf):
+        raise ValueError("field grid half-extents must be finite and > 0")
+    if not 0 < radius < math.inf or npsi < 2:
+        raise ValueError("field.profile_radius_m must be finite and > 0 and "
+                         "field.profile_points >= 2")
     params = quadratic_params(array, scene)
     dy = np.linspace(-hy, hy, n)
     dz = np.linspace(-hz, hz, n)
@@ -93,11 +99,6 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "field_grid.csv", cfg,
                ["dy", "dz", "b_exact", "b_quadratic"], rows)
 
-    radius = cfg.get("field", "profile_radius_m")
-    npsi = cfg.get("field", "profile_points")
-    if radius <= 0 or npsi < 2:
-        raise ValueError("field.profile_radius_m must be > 0 and "
-                         "field.profile_points >= 2")
     psi = np.linspace(0.0, 2 * np.pi, npsi, endpoint=False)
     b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
                                array, scene)

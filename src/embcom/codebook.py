@@ -242,10 +242,21 @@ def hexagonal_size_fixed_point(eps: float, l: int, scene: SceneConfig,
     return j
 
 
+_TREE_LEVELS = 8  # bisection levels per field call: 2^8 - 1 midpoints
+
+
 def _invert_field_along(direction: np.ndarray, b_target: float,
                         array: ArrayConfig, scene: SceneConfig) -> float | None:
     """Smallest radius t with B(t * direction) >= b_target, or None when the
-    target is unreachable before a kernel null along either axis."""
+    target is unreachable before a kernel null along either axis.
+
+    Bisection on [0, hi] for at most 80 steps, stopping once the bracket's
+    ends are adjacent floats.  One field call evaluates all 2^d - 1 midpoints
+    of the next d = _TREE_LEVELS levels of the bisection tree, each built
+    with the step-by-step arithmetic 0.5 * (lo + hi); the walk down the tree
+    takes the step-by-step decisions, so the result is the step-by-step
+    bisection's.
+    """
     c, s = direction
     limits = []
     if abs(c) > 0:
@@ -254,21 +265,35 @@ def _invert_field_along(direction: np.ndarray, b_target: float,
         limits.append(2.0 * scene.distance_d / array.m_z / abs(s))
     hi = min(limits) * (1.0 - 1e-12)
 
-    def b_at(t):
-        return float(bhattacharyya_grid(np.asarray(t * c), np.asarray(t * s),
-                                        array, scene))
-
-    if b_at(hi) < b_target:
+    if float(bhattacharyya_grid(np.asarray(hi * c), np.asarray(hi * s),
+                                array, scene)) < b_target:
         return None
     lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: the bracket is final
-            break
-        if b_at(mid) >= b_target:
-            hi = mid
-        else:
-            lo = mid
+    steps = 80
+    while steps:
+        levels = min(_TREE_LEVELS, steps)
+        steps -= levels
+        # split every bracket at its midpoint, level by level: the sorted
+        # edges then hold the bracket ends and every midpoint of the tree
+        edges = np.array([lo, hi])
+        for _ in range(levels):
+            finer = np.empty(2 * edges.size - 1)
+            finer[::2] = edges
+            finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
+            edges = finer
+        inner = edges[1:-1]
+        up = (bhattacharyya_grid(inner * c, inner * s, array, scene)
+              >= b_target).tolist()
+        a, b = 0, edges.size - 1  # the bracket as indices into edges
+        for _ in range(levels):
+            m = (a + b) // 2
+            mid = float(edges[m])
+            if mid == lo or mid == hi:  # adjacent floats: the bracket is final
+                return hi
+            if up[m - 1]:
+                hi, b = mid, m
+            else:
+                lo, a = mid, m
     return hi
 
 

@@ -46,7 +46,11 @@ def bhattacharyya_exact(delta: Displacement, array: ArrayConfig,
 def bhattacharyya_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig,
                        scene: SceneConfig) -> np.ndarray:
     """Vectorized exact field over broadcastable displacement arrays."""
-    eta = steering_correlation_grid(dy, dz, array, scene)
+    return _exponent(steering_correlation_grid(dy, dz, array, scene), scene)
+
+
+def _exponent(eta, scene: SceneConfig):
+    """The field log(1 + kappa (1 - eta)) from the steering correlation eta."""
     return np.log1p(_kappa(scene.snr_gamma0) * (1.0 - eta))
 
 
@@ -149,69 +153,92 @@ def forbidden_region_contains(delta: Displacement, threshold_b: float,
 
 # --- necessary Euclidean separation ------------------------------------------
 
-def necessary_separations(eps: float, ls, array: ArrayConfig, scene: SceneConfig,
+def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
                           n_rays: int = 720, tol: float = 1e-5) -> np.ndarray:
-    """Necessary separation for every snapshot count in ``ls`` at once.
+    """Necessary separation for every scene in ``scenes`` and every snapshot
+    count in ``ls`` at once, as an array of shape (len(scenes), len(ls)).
 
-    The field does not depend on L, only the threshold b_necessary(eps, L)
-    does, so one coarse field grid serves the whole list.  Entry i is the
-    radius of the largest origin-centered ball on which B stays below
-    b_necessary(eps, ls[i]): the first crossing radius along a uniform grid
-    of directions on [0, pi) (the field is even), found by coarse marching
-    plus bisection to ``tol`` meters, minimized over directions.  Rays that
-    never cross within the plane-difference diameter are reported with one
-    warning per L; if no ray crosses, the entry is inf (no two in-plane
-    positions are distinguishable at this eps and L).
+    The scenes must share their geometry (distance_d, extent_y, extent_z);
+    they may differ in SNR.  The steering correlation does not depend on the
+    SNR, and the field does not depend on L (only the threshold
+    b_necessary(eps, L) does), so one coarse correlation grid serves the
+    whole batch and each scene turns it into its own field.  Entry (s, i) is
+    the radius of the largest origin-centered ball on which scene s's field
+    stays below b_necessary(eps, ls[i]): the first crossing radius along a
+    uniform grid of directions on [0, pi) (the field is even), found by
+    coarse marching plus bisection to ``tol`` meters, minimized over
+    directions.  Rays that never cross within the plane-difference diameter
+    are reported with one warning per scene and L; if no ray crosses, the
+    entry is inf (no two in-plane positions are distinguishable at this eps
+    and L).
     """
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    ls, scenes = list(ls), tuple(scenes)
     targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
-    r_max = float(np.hypot(scene.extent_y, scene.extent_z))
+    if not scenes:
+        return np.empty((0, len(targets)))
+    geometry = scenes[0].distance_d, scenes[0].extent_y, scenes[0].extent_z
+    if any((sc.distance_d, sc.extent_y, sc.extent_z) != geometry for sc in scenes):
+        raise ValueError("the scenes of one ray search must share distance_d, "
+                         "extent_y and extent_z")
+    r_max = float(np.hypot(geometry[1], geometry[2]))
     psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     n_steps = 512
     radii = np.linspace(0.0, r_max, n_steps + 1)
-    # running maximum along each ray: its count of entries below a threshold
-    # is the index of the ray's first coarse crossing (n_steps + 1: none)
-    run_max = bhattacharyya_grid(np.outer(cos_psi, radii),
-                                 np.outer(sin_psi, radii), array, scene)
-    np.maximum.accumulate(run_max, axis=1, out=run_max)
-    first = np.array([np.count_nonzero(run_max < t, axis=1) for t in targets],
-                     dtype=np.intp).reshape(len(targets), n_rays)
+    eta = steering_correlation_grid(np.outer(cos_psi, radii),
+                                    np.outer(sin_psi, radii), array, scenes[0])
+    best = np.empty((len(scenes), len(targets)))
+    for row, scene in zip(best, scenes):
+        # running maximum along each ray: its count of entries below a
+        # threshold is the index of the ray's first coarse crossing
+        # (n_steps + 1: none)
+        run_max = _exponent(eta, scene)
+        np.maximum.accumulate(run_max, axis=1, out=run_max)
+        first = np.array([np.count_nonzero(run_max < t, axis=1) for t in targets],
+                         dtype=np.intp).reshape(len(targets), n_rays)
+        # free the grid before the bisection allocates: kept until then, it
+        # ends up under small arrays and stays resident, raising peak RSS
+        del run_max
 
-    # bisect every crossing (L, ray) pair together, each until its own
-    # bracket is within tol or its ends are adjacent floats
-    li, ri = np.nonzero(first <= n_steps)
-    k = first[li, ri]
-    lo, hi = radii[k - 1], radii[k]
-    c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
-    act = np.nonzero(hi - lo > tol)[0]
-    while act.size:
-        mid = 0.5 * (lo[act] + hi[act])
-        moves = (mid != lo[act]) & (mid != hi[act])
-        act, mid = act[moves], mid[moves]
-        up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
-        hi[act] = np.where(up, mid, hi[act])
-        lo[act] = np.where(up, lo[act], mid)
-        act = act[hi[act] - lo[act] > tol]
+        # bisect every crossing (L, ray) pair together, each until its own
+        # bracket is within tol or its ends are adjacent floats
+        li, ri = np.nonzero(first <= n_steps)
+        k = first[li, ri]
+        lo, hi = radii[k - 1], radii[k]
+        c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
+        act = np.nonzero(hi - lo > tol)[0]
+        while act.size:
+            mid = 0.5 * (lo[act] + hi[act])
+            moves = (mid != lo[act]) & (mid != hi[act])
+            act, mid = act[moves], mid[moves]
+            up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
+            hi[act] = np.where(up, mid, hi[act])
+            lo[act] = np.where(up, lo[act], mid)
+            act = act[hi[act] - lo[act] > tol]
 
-    best = np.full(first.shape, np.inf)
-    best[li, ri] = hi
-    for l, unbounded in zip(ls, np.count_nonzero(first > n_steps, axis=1)):
-        if unbounded:
-            _warn(f"{unbounded}/{n_rays} rays never reach the necessary "
-                  f"threshold within the plane diameter at L={l} (degenerate "
-                  "or SNR-starved axis)")
-    return best.min(axis=1)
+        per_ray = np.full(first.shape, np.inf)
+        per_ray[li, ri] = hi
+        row[:] = per_ray.min(axis=1)
+        for l, unbounded in zip(ls, np.count_nonzero(first > n_steps, axis=1)):
+            if unbounded:
+                _warn(f"{unbounded}/{n_rays} rays never reach the necessary "
+                      f"threshold within the plane diameter at "
+                      f"gamma0={scene.snr_gamma0:.6g}, at L={l} (degenerate "
+                      "or SNR-starved axis)")
+    return best
 
 
 def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,
                               scene: SceneConfig, n_rays: int = 720,
                               tol: float = 1e-5) -> float:
-    """Necessary separation at one snapshot count; see necessary_separations."""
-    return float(necessary_separations(eps, (l,), array, scene, n_rays, tol)[0])
+    """Necessary separation of one scene at one snapshot count; see
+    necessary_separations."""
+    return float(necessary_separations(eps, (l,), array, (scene,), n_rays,
+                                       tol)[0, 0])
 
 
 def dnec_mainlobe(eps: float, l: int, array: ArrayConfig, scene: SceneConfig) -> float:

@@ -64,13 +64,15 @@ class LstarPoint:
 
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
-    report) for each L]), with one necessary-separation batch per SNR."""
-    for db in snr_db_list:
-        snr_scene = scene_template.with_snr(db_to_linear(db))
-        d_necs = necessary_separations(eps, l_list, array, snr_scene, n_rays, tol)
+    report) for each L]).  One necessary-separation call covers the whole
+    SNR list, so one steering-correlation grid serves every SNR."""
+    snr_db_list = list(snr_db_list)
+    snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
+    d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
+    for db, snr_scene, row in zip(snr_db_list, snr_scenes, d_necs):
         scenes = [snr_scene.with_snapshots(int(l)) for l in l_list]
         yield db, snr_scene, [(sc, d_nec, hexagonal_design(eps, sc, array)[1])
-                              for sc, d_nec in zip(scenes, d_necs)]
+                              for sc, d_nec in zip(scenes, row)]
 
 
 def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,

@@ -36,3 +36,22 @@ def capped_field(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(field, "bhattacharyya_grid", capped)
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """``calls = call_log(module, "name")`` replaces that module attribute
+    with a wrapper that appends each call's positional arguments to
+    ``calls``."""
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def logged(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+        return calls
+
+    return install

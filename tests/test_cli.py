@@ -1,5 +1,6 @@
 import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_conflicting_snr_keys_rejected(tmp_path):
 
 def test_empty_field_grid_rejected(tmp_path):
     assert run(tmp_path, "--set", "field.grid_points=1", "field") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_points", "1"), ("grid_half_y_m", "0"), ("grid_half_z_m", "nan"),
+    ("profile_radius_m", "-1"), ("profile_radius_m", "inf"),
+    ("profile_points", "1")])
+def test_bad_field_key_writes_nothing(tmp_path, key, value):
+    assert run(tmp_path, "--set", f"field.{key}={value}", "field") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_parsing(tmp_path):
@@ -255,6 +265,13 @@ def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
                "bounds") == 1
     assert f"solver.{key} must be >= " in capsys.readouterr().err
     assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_bounds_empty_snr_list_writes_header_only(tmp_path):
+    assert run(tmp_path, "--set", "sweep.snr_db_list=", "bounds") == 0
+    lines = [l for l in (tmp_path / "bounds.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert lines == [",".join(f.name for f in fields(sweep.BoundPoint))]
 
 
 def test_bounds_support_gate(tmp_path, capsys):

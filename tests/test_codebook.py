@@ -213,33 +213,52 @@ def invert_reference(direction, b_target, array, scene):
     return hi
 
 
-def test_invert_field_early_stop_matches_80_steps(monkeypatch, ref_array, ref_scene):
-    calls = []
-    field = codebook.bhattacharyya_grid
+def _whitened_direction(rotation, array, scene):
+    transform = quadratic_params(array, scene).transform_t
+    d = np.linalg.solve(transform, [math.cos(rotation), math.sin(rotation)])
+    return d / np.linalg.norm(d)
 
-    def spy(*args):
-        calls.append(1)
-        return field(*args)
 
-    monkeypatch.setattr(codebook, "bhattacharyya_grid", spy)
+# one field call for the reachability check, then one per tree of levels;
+# the step-by-step bisection made ~56
+MAX_INVERT_CALLS = 1 + math.ceil(80 / codebook._TREE_LEVELS)
+
+
+def test_invert_field_early_stop_matches_80_steps(call_log, ref_array, ref_scene):
+    assert MAX_INVERT_CALLS <= 11
+    calls = call_log(codebook, "bhattacharyya_grid")
     n_found = 0
     for db in (5.0, 10.0, 20.0, 30.0, 40.0):
         for l in (1, 5, 20):
             sc = ref_scene.with_snr(10.0 ** (db / 10.0)).with_snapshots(l)
-            transform = quadratic_params(ref_array, sc).transform_t
             for rotation in (0.0, 0.3, math.pi / 3, 1.2, math.pi / 2):
-                d = np.linalg.solve(transform, [math.cos(rotation),
-                                                math.sin(rotation)])
-                d /= np.linalg.norm(d)
+                d = _whitened_direction(rotation, ref_array, sc)
                 for j in (2, 7, 40, 300):
                     target = b_codebook(j, 1e-3, l) * (1.0 + 1e-9)
                     calls.clear()
                     got = codebook._invert_field_along(d, target, ref_array, sc)
+                    assert len(calls) <= MAX_INVERT_CALLS
                     assert got == invert_reference(d, target, ref_array, sc)
                     if got is not None:
                         n_found += 1
-                        assert len(calls) < 81  # stopped before the 80th step
     assert n_found > 50
+
+
+@pytest.mark.parametrize("target", [1e-30, 1e-300])
+def test_invert_field_step_cap_matches_80_steps(call_log, ref_array, ref_scene,
+                                                target):
+    # below ~2e-8 m the steering correlation rounds to 1 and the field to 0,
+    # so the crossing is the first radius with a nonzero field: the bisection
+    # needs 79 or 80 steps, and the last tree of the walk ends at the cap
+    calls = call_log(codebook, "bhattacharyya_grid")
+    for db in (0.0, 20.0, 40.0):
+        sc = ref_scene.with_snr(10.0 ** (db / 10.0))
+        for rotation in (0.0, 0.7, math.pi / 2):
+            d = _whitened_direction(rotation, ref_array, sc)
+            calls.clear()
+            got = codebook._invert_field_along(d, target, ref_array, sc)
+            assert len(calls) == MAX_INVERT_CALLS
+            assert got == invert_reference(d, target, ref_array, sc)
 
 
 def test_hex_design_20db(ref_array, ref_scene):
@@ -389,22 +408,14 @@ def test_greedy_incremental_scan_matches_reference(ref_array, ref_scene, snr_db,
     assert len(cb) >= 2
 
 
-def test_greedy_one_field_call_per_accepted_point(monkeypatch, ref_array, ref_scene):
+def test_greedy_one_field_call_per_accepted_point(call_log, ref_array, ref_scene):
     sc = replace(ref_scene.with_snr(1000.0).with_snapshots(20),
                  extent_y=3.0, extent_z=1.4)
     _, n_accepted = greedy_scan_reference(1e-3, sc, ref_array, 0.1)
-    shapes = []
-    field = codebook.bhattacharyya_grid
-
-    def spy(dy, dz, array, scene):
-        b = field(dy, dz, array, scene)
-        shapes.append(b.shape)
-        return b
-
-    monkeypatch.setattr(codebook, "bhattacharyya_grid", spy)
+    calls = call_log(codebook, "bhattacharyya_grid")
     greedy_packing_baseline(1e-3, sc, ref_array, 0.1)
     assert 2 <= n_accepted < 31 * 15
-    assert shapes == [(31, 15)] * n_accepted
+    assert [np.broadcast(dy, dz).shape for dy, dz, *_ in calls] == [(31, 15)] * n_accepted
 
 
 def test_greedy_whole_plane_forbidden(ref_array, ref_scene):

@@ -1,10 +1,12 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from embcom import field
 from embcom.arrays import ArrayConfig, Displacement, Position, SceneConfig, steering_vector
 from embcom.field import (b_codebook, b_necessary, b_required,
                           bhattacharyya_exact, bhattacharyya_grid,
@@ -241,7 +243,7 @@ def dnec_reference(eps, l, array, scene, n_rays=720, tol=1e-5):
 def check_against_reference(ls, array, scene, n_rays=720):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = necessary_separations(1e-3, ls, array, scene, n_rays=n_rays)
+        got = necessary_separations(1e-3, ls, array, (scene,), n_rays=n_rays)[0]
     ref = [dnec_reference(1e-3, l, array, scene, n_rays) for l in ls]
     assert got.shape == (len(ls),)
     assert got.tolist() == [d for d, _ in ref]  # exact, inf == inf
@@ -289,9 +291,75 @@ def test_scalar_dnec_wraps_batch(ref_array, ref_scene):
         d = necessary_separation_dnec(1e-3, 5, ref_array, ref_scene, n_rays=90)
     assert d == dnec_reference(1e-3, 5, ref_array, ref_scene, 90)[0]
     assert [w.filename for w in caught] == [__file__]
-    assert necessary_separations(1e-3, (), ref_array, ref_scene).shape == (0,)
+    assert necessary_separations(1e-3, (), ref_array, (ref_scene,)).shape == (1, 0)
     with pytest.raises(ValueError):
-        necessary_separations(1e-3, (5,), ref_array, ref_scene, n_rays=0)
+        necessary_separations(1e-3, (5,), ref_array, (ref_scene,), n_rays=0)
+
+
+SNRS_DB = (0.0, 10.0, 20.0, 40.0)
+
+
+def test_scene_batch_rows_match_single_scene_and_reference(ref_array, ref_scene):
+    ls = (1, 5, 20)
+    scenes = [ref_scene.with_snr(10.0 ** (db / 10.0)) for db in SNRS_DB]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = necessary_separations(1e-3, ls, ref_array, scenes, n_rays=90)
+        assert got.shape == (len(scenes), len(ls))
+        for row, scene in zip(got, scenes):
+            single = necessary_separations(1e-3, ls, ref_array, (scene,), n_rays=90)
+            assert row.tolist() == single[0].tolist()  # exact, inf == inf
+            assert row.tolist() == [dnec_reference(1e-3, l, ref_array, scene, 90)[0]
+                                    for l in ls]
+
+
+def test_scene_batch_warnings_name_snr_and_l(ref_array, ref_scene):
+    scenes = (ref_scene, ref_scene.with_snr(100.0))  # 10 and 20 dB
+    ls = (1, 2, 5, 40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        necessary_separations(1e-3, ls, ref_array, scenes, n_rays=90)
+    reported = {}
+    for w in caught:
+        m = UNREACHED.match(str(w.message))
+        g = re.search(r" at gamma0=(\S+), at L=", str(w.message))
+        assert m and g, str(w.message)
+        assert w.filename == __file__
+        reported[g.group(1), int(m.group(3))] = (int(m.group(1)), int(m.group(2)))
+    expected = {}
+    for sc in scenes:
+        for l in ls:
+            unbounded = dnec_reference(1e-3, l, ref_array, sc, 90)[1]
+            if unbounded:
+                expected[f"{sc.snr_gamma0:.6g}", l] = (unbounded, 90)
+    assert {g for g, _ in expected} == {"10", "100"}  # both SNRs warn
+    assert reported == expected
+
+
+@pytest.mark.parametrize("n_scenes", [1, 3])
+def test_one_correlation_grid_per_ray_search(call_log, ref_array, ref_scene,
+                                             n_scenes):
+    calls = call_log(field, "steering_correlation_grid")
+    scenes = [ref_scene.with_snr(g) for g in (10.0, 100.0, 1000.0)[:n_scenes]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        necessary_separations(1e-3, (5, 20), ref_array, scenes, n_rays=90)
+    coarse = [args for args in calls if np.ndim(args[0]) == 2]
+    assert [np.shape(args[0]) for args in coarse] == [(90, 513)]
+    assert all(np.ndim(args[0]) == 1 for args in calls[1:])  # bisection steps
+
+
+def test_scene_batch_shapes_and_shared_geometry(ref_array, ref_scene):
+    assert necessary_separations(1e-3, (1, 5, 20), ref_array, ()).shape == (0, 3)
+    # snapshot count and noise do not enter the field: one batch
+    same = (ref_scene.with_snr(100.0), replace(ref_scene.with_snr(100.0),
+                                               snapshots_l=9, noise_var_sigma2=2.0))
+    got = necessary_separations(1e-3, (5,), ref_array, same, n_rays=45)
+    assert got.shape == (2, 1) and got[0, 0] == got[1, 0]
+    for key, value in (("distance_d", 120.0), ("extent_y", 1.5), ("extent_z", 1.0)):
+        other = replace(ref_scene, **{key: value})
+        with pytest.raises(ValueError, match="must share distance_d"):
+            necessary_separations(1e-3, (5,), ref_array, (ref_scene, other))
 
 
 def test_dnec_bisection_stops_at_adjacent_floats(capped_field, ref_array, ref_scene):
