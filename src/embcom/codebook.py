@@ -265,8 +265,7 @@ def _invert_field_along(direction: np.ndarray, b_target: float,
         limits.append(2.0 * scene.distance_d / array.m_z / abs(s))
     hi = min(limits) * (1.0 - 1e-12)
 
-    if float(bhattacharyya_grid(np.asarray(hi * c), np.asarray(hi * s),
-                                array, scene)) < b_target:
+    if bhattacharyya_grid(hi * c, hi * s, array, scene) < b_target:
         return None
     lo = 0.0
     steps = 80
