@@ -54,24 +54,32 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
 
 # --- support-constrained bound via Frank-Wolfe --------------------------------
 
-def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int,
+def _cross_row(ay: np.ndarray, az: np.ndarray, k: int) -> np.ndarray:
+    """a_k^H a_j for every atom a_j = ay[j // len(az)] (x) az[j % len(az)]."""
+    iy, iz = divmod(k, len(az))
+    return np.outer(ay[iy].conj() @ ay.T, az[iz].conj() @ az.T).ravel()
+
+
+def _fw_maximize(ay: np.ndarray, az: np.ndarray, gamma0: float, iters: int,
                  gap_tol_bits: float) -> tuple[float, bool, float]:
     """Maximizes log det(I + g Q) over convex mixtures Q = sum_k w_k a_k a_k^H
-    of the rank-one atoms (rows of ``atoms``) by pairwise conditional
-    gradient with exact line search, starting at atom 0; returns (objective
-    nats, converged, duality gap bits).
+    of the atoms a_k = ay[k // len(az)] (x) az[k % len(az)] by pairwise
+    conditional gradient, starting at atom 0; returns (objective nats,
+    converged, duality gap bits).  A general atom set passes as
+    (atoms, np.ones((1, 1))).
 
-    Each step moves weight from the live active atom with the lowest score
-    (the away atom) to the atom with the highest (the FW atom); a step that
-    moves all of the away atom's weight sets it to exactly 0 (a drop step).
-    The M x M matrix is never formed: the active atoms are tracked by their
-    inner products with every atom (``cross``, active x K).  One Woodbury
-    solve per iteration gives the gradient scores a_k^H (I + g Q)^-1 a_k and,
-    on the active columns, the rank-two pencil of the pairwise segment,
-    whose eigenvalues drive the line search."""
+    No atom is formed: the active atoms are tracked by their _cross_row
+    inner products (``cross``, active x K), and one Woodbury solve per
+    iteration gives every score s_k = a_k^H (I + g Q)^-1 a_k.  Each step
+    moves weight from the live active atom a with the lowest score to the
+    atom p with the highest.  The step's pencil has rank two, so the exact
+    line search is t* = (s_p - s_a) / (2 g (s_p s_a - |p^H (I + g Q)^-1 a|^2)),
+    >= 0 as no score exceeds s_p, capped at w_a; coincident atoms (a
+    denominator <= 0) take all of w_a.  A step of all of w_a leaves a with
+    weight exactly 0 (a drop step)."""
     idx = [0]
     w = np.ones(1)
-    cross = (atoms[0].conj() @ atoms.T)[None, :]
+    cross = _cross_row(ay, az, 0)[None, :]
     gap_nats = math.inf
     for _ in range(iters):
         live = w > 1e-300  # weights sum to 1, so at least one is live
@@ -88,31 +96,14 @@ def _fw_maximize(atoms: np.ndarray, gamma0: float, iters: int,
         if idx[away] == k_best:
             break  # no pairwise direction left: the step would be zero
         if k_best not in idx:
-            cross = np.vstack([cross, (atoms[k_best].conj() @ atoms.T)[None, :]])
+            cross = np.vstack([cross, _cross_row(ay, az, k_best)[None, :]])
             idx.append(k_best)
             w = np.append(w, 0.0)
         pos = idx.index(k_best)
-        # eigenvalues of M0^-1 (M1 - M0) on the active subspace
-        vmv = cross[:, idx] - c[:, idx].conj().T @ sol[:, idx]
-        s_diag = np.zeros(len(idx))
-        s_diag[pos], s_diag[away] = gamma0, -gamma0
-        lam = np.linalg.eigvals(np.diag(s_diag) @ vmv).real
-
-        def dphi(t):
-            return float(np.sum(lam / (1.0 + t * lam)))
-
-        t_star = float(w[away])
-        if dphi(t_star) < 0.0:
-            lo, hi = 0.0, t_star
-            for _ in range(70):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:  # adjacent floats: the bracket is final
-                    break
-                if dphi(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_star = 0.5 * (lo + hi)
+        s_p, s_a = float(s[k_best]), float(s[idx[away]])
+        v_pa = cross[pos, idx[away]] - np.vdot(c[:, k_best], sol[:, idx[away]])
+        den = 2.0 * gamma0 * (s_p * s_a - abs(v_pa) ** 2)
+        t_star = min((s_p - s_a) / den, w[away]) if den > 0.0 else w[away]
         w[pos] += t_star
         w[away] -= t_star  # exactly 0 after a drop step (t_star == w[away])
     sw = np.sqrt(np.maximum(w, 0.0))
@@ -128,6 +119,15 @@ def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> n
     return steering_matrix(ys[:, None], zs, array, scene).reshape(grid_n * grid_n, -1)
 
 
+def _support_grid_factors(scene: SceneConfig, array: ArrayConfig, grid_n: int):
+    """Per-axis factors (ay, az) of the support grid: row k of
+    support_grid_atoms is ay[k // grid_n] (x) az[k % grid_n]."""
+    ys = np.linspace(-scene.extent_y / 2, scene.extent_y / 2, grid_n)
+    zs = np.linspace(-scene.extent_z / 2, scene.extent_z / 2, grid_n)
+    return (steering_matrix(ys, 0.0, ArrayConfig(array.m_y, 1), scene),
+            steering_matrix(0.0, zs, ArrayConfig(1, array.m_z), scene))
+
+
 def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
                       fw_iters: int = 400, gap_tol_bits: float = 1e-6) -> float:
     """Grid-restricted per-snapshot information of the support-constrained
@@ -140,8 +140,8 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    atoms = support_grid_atoms(scene, array, grid_n)
-    nats, converged, gap_bits = _fw_maximize(atoms, scene.snr_gamma0,
+    ay, az = _support_grid_factors(scene, array, grid_n)
+    nats, converged, gap_bits = _fw_maximize(ay, az, scene.snr_gamma0,
                                              fw_iters, gap_tol_bits)
     if not converged:
         _warn(f"support-bound solver stopped at duality gap {gap_bits:.3g} "

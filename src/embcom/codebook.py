@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, Position, SceneConfig, _warn, position_in_plane
+from .arrays import ArrayConfig, Position, SceneConfig, position_in_plane
 from .field import (b_codebook, bhattacharyya_grid, field_ceiling,
                     quadratic_params)
 
@@ -225,7 +225,7 @@ def hexagonal_size(eps: float, l: int, scene: SceneConfig,
 def hexagonal_size_fixed_point(eps: float, l: int, scene: SceneConfig,
                                array: ArrayConfig) -> float:
     """Size by iterating J <- Xi_h L / log(J/eps); solves the same equation as
-    the Lambert-W closed form and is used as its cross-check.
+    the Lambert-W closed form and is the tests' cross-check of it.
 
     Starts at J = 2 and stops after 500 iterations.  Iterates are clamped
     above eps*e where the map is defined and bounded; below that the design
@@ -347,10 +347,6 @@ def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
     transform = params.transform_t
 
     j_cont = _hexagonal_size_cont(eps, l, scene, array)
-    j_fp = hexagonal_size_fixed_point(eps, l, scene, array)
-    if abs(j_cont - j_fp) > 1.0:
-        _warn(f"Lambert-W sizing ({j_cont:.3f}) and fixed-point sizing "
-              f"({j_fp:.3f}) disagree by more than one codeword")
 
     # whitened first-basis direction, mapped to the physical plane
     u_w = np.array([math.cos(rotation), math.sin(rotation)])

@@ -62,11 +62,19 @@ class LstarPoint:
     l_star_closed_exhaustive: int
 
 
+def _sweep_lists(*lists) -> list[list]:
+    """The sweep grids a command reads, as lists; each must be non-empty."""
+    lists = [list(x) for x in lists]
+    if not all(lists):
+        raise ValueError("sweep lists must be non-empty")
+    return lists
+
+
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
     report) for each L]).  One necessary-separation call covers the whole
     SNR list, so one steering-correlation grid serves every SNR."""
-    snr_db_list = list(snr_db_list)
+    snr_db_list, l_list = _sweep_lists(snr_db_list, l_list)
     snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
     for db, snr_scene, row in zip(snr_db_list, snr_scenes, d_necs):
@@ -83,10 +91,6 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     whether the lower bound respects both converses and whether the rate is
     monotone versus the previous SNR at the same L.  ``n_rays`` and ``tol``
     set the necessary-separation ray search behind the geometric converse."""
-    snr_db_list = list(snr_db_list)
-    l_list = list(l_list)
-    if not snr_db_list or not l_list:
-        raise ValueError("sweep lists must be non-empty")
     rows = []
     prev_rate: dict[int, float] = {}
     for db, _, points in _design_points(eps, scene_template, array, snr_db_list,
@@ -114,7 +118,6 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     grid point, and whether the rate exceeds any of them.  The support value
     is solved once per SNR; the first rate above it refines that SNR's grid
     once, to 2 n - 1 points per axis, kept for its remaining L values."""
-    l_list = list(l_list)
     rows = []
     violation = False
     for db, snr_scene, points in _design_points(eps, scene_template, array,
@@ -171,7 +174,7 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     exact-design window refinement, and the closed-form integer optimum with
     its exhaustive cross-check."""
     rows = []
-    for db in list(snr_db_list):
+    for db in _sweep_lists(snr_db_list)[0]:
         g0 = db_to_linear(db)
         scene = scene_template.with_snr(g0)
         l_cont, l_int = optimal_snapshots(eps, scene, array)

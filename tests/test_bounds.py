@@ -6,14 +6,18 @@ import pytest
 
 from embcom.arrays import (ArrayConfig, Position, SceneConfig, db_to_linear,
                            steering_vector)
-from embcom.bounds import (_fw_maximize, binary_entropy, geo_bound,
-                           geo_bound_mainlobe, info_bound_support,
-                           info_bound_universal, optimal_snapshots,
-                           packing_count, snap_info_support, snap_info_universal,
-                           support_grid_atoms)
+from embcom import arrays, bounds
+from embcom.bounds import (_cross_row, _fw_maximize, _support_grid_factors,
+                           binary_entropy, geo_bound, geo_bound_mainlobe,
+                           info_bound_support, info_bound_universal,
+                           optimal_snapshots, packing_count, snap_info_support,
+                           snap_info_universal, support_grid_atoms)
 from embcom.codebook import hexagonal_design, xi_h_factor
 from embcom.config import load_config
 from embcom.field import dnec_mainlobe
+
+# a general atom set is one factor with a trivial second one
+ONE = np.ones((1, 1))
 
 
 def test_binary_entropy():
@@ -53,7 +57,7 @@ def test_support_orthogonal_atoms_closed_form(small_array):
     for k in (2, 4):
         atoms = np.array([steering_vector(Position(null * i, 0.0), small_array, sc)
                           for i in range(k)])
-        nats, converged, _ = _fw_maximize(atoms, 10.0, 4000, 1e-9)
+        nats, converged, _ = _fw_maximize(atoms, ONE, 10.0, 4000, 1e-9)
         assert converged
         got = nats / math.log(2)
         assert got == pytest.approx(k * math.log2(1 + 10.0 / k), abs=1e-6)
@@ -91,22 +95,23 @@ def test_fw_matches_convex_solver_oracle():
     prob = cp.Problem(cp.Maximize(cp.log_det(mat)), [cp.sum(w) == 1])
     prob.solve(solver=cp.SCS, eps=1e-9, max_iters=100000)
     oracle = prob.value / 2
-    nats, _, _ = _fw_maximize(atoms, 10.0, 5000, 1e-7)
+    nats, _, _ = _fw_maximize(atoms, ONE, 10.0, 5000, 1e-7)
     assert nats == pytest.approx(oracle, abs=1e-4)
 
 
 def test_fw_objective_nondecreasing(ref_array, ref_scene):
-    atoms = support_grid_atoms(ref_scene, ref_array, 7)
+    ay, az = _support_grid_factors(ref_scene, ref_array, 7)
     prev = -1.0
     for iters in range(1, 8):
-        val, _, _ = _fw_maximize(atoms, ref_scene.snr_gamma0, iters, 0.0)
+        val, _, _ = _fw_maximize(ay, az, ref_scene.snr_gamma0, iters, 0.0)
         assert val >= prev - 1e-12
         prev = val
 
 
 def fw_70_step_reference(atoms, gamma0, iters, gap_tol_bits):
-    """_fw_maximize with all 70 line-search bisection steps taken, also after
-    the bracket's ends have become adjacent floats."""
+    """Pairwise FW on the explicit atom matrix with the line search done
+    numerically: 70 bisection steps on the derivative of the objective along
+    the step, whose slope comes from the eigenvalues of the active pencil."""
     idx = [0]
     w = np.ones(1)
     cross = (atoms[0].conj() @ atoms.T)[None, :]
@@ -157,13 +162,49 @@ def fw_70_step_reference(atoms, gamma0, iters, gap_tol_bits):
 
 
 @pytest.mark.parametrize("grid_n", [11, 41])
-def test_fw_bisection_early_stop_matches_70_steps(ref_array, ref_scene, grid_n):
-    # once mid equals an end the bracket cannot move, so t* is unchanged
+def test_fw_closed_form_step_matches_70_step_bisection(ref_array, ref_scene,
+                                                       grid_n):
+    # the closed-form root of the rank-two pencil against a numerical line
+    # search on the explicit atoms: rounding apart, the same run
     atoms = support_grid_atoms(ref_scene, ref_array, grid_n)
+    ay, az = _support_grid_factors(ref_scene, ref_array, grid_n)
     for snr_db in (0, 15, 20):
         g = db_to_linear(snr_db)
-        assert _fw_maximize(atoms, g, 400, 1e-6) == \
-            fw_70_step_reference(atoms, g, 400, 1e-6)
+        nats, converged, _ = _fw_maximize(ay, az, g, 400, 1e-6)
+        ref_nats, ref_converged, _ = fw_70_step_reference(atoms, g, 400, 1e-6)
+        assert abs(nats - ref_nats) <= 1e-12
+        assert converged == ref_converged
+
+
+@pytest.mark.parametrize("k", [0, 20, 820, 840, 1680],
+                         ids=["corner", "edge-ymin", "edge-zmin", "centre",
+                              "far-corner"])
+def test_factored_cross_row_matches_atom_products(ref_array, ref_scene, k):
+    atoms = support_grid_atoms(ref_scene, ref_array, 41)
+    ay, az = _support_grid_factors(ref_scene, ref_array, 41)
+    row = _cross_row(ay, az, k)
+    assert np.abs(row - atoms[k].conj() @ atoms.T).max() <= 1e-13
+
+
+def test_support_solve_never_forms_atom_matrix(ref_array, ref_scene, monkeypatch):
+    """snap_info_support works on the per-axis factors: no array it builds
+    through steering_matrix has the M = m_y m_z element columns, and the
+    K x M support_grid_atoms is never called."""
+    shapes = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        return wrapped
+
+    for mod, name in ((bounds, "support_grid_atoms"), (bounds, "steering_matrix"),
+                      (arrays, "steering_matrix")):
+        monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+    snap_info_support(ref_scene, ref_array, 41, 400, 1e-6)
+    assert shapes == [(41, ref_array.m_y), (41, ref_array.m_z)]
+    assert all(s[-1] != ref_array.m_total for s in shapes)
 
 
 def multiplicative_reference(atoms, gamma0, iters=20000):
@@ -187,22 +228,24 @@ def _random_atoms():
     arr = ArrayConfig(4, 2)
     sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
     rng = np.random.default_rng(8)
-    return np.array([steering_vector(Position(rng.uniform(-1, 1),
-                                              rng.uniform(-1, 1)), arr, sc)
-                     for _ in range(9)]), 10.0
+    return (np.array([steering_vector(Position(rng.uniform(-1, 1),
+                                               rng.uniform(-1, 1)), arr, sc)
+                      for _ in range(9)]), ONE), 10.0
 
 
 def _grid_atoms_8x4_15db():
     sc = SceneConfig(100.0, 2.0, 2.0, db_to_linear(15), 1.0, 5, 1.0)
-    return support_grid_atoms(sc, ArrayConfig(8, 4), 7), sc.snr_gamma0
+    return _support_grid_factors(sc, ArrayConfig(8, 4), 7), sc.snr_gamma0
 
 
 @pytest.mark.parametrize("problem", [_random_atoms, _grid_atoms_8x4_15db],
                          ids=["random9-4x2", "grid7-8x4-15db"])
 def test_fw_matches_multiplicative_oracle(problem):
-    atoms, g = problem()
-    nats, converged, gap_bits = _fw_maximize(atoms, g, 5000, 1e-9)
+    (ay, az), g = problem()
+    nats, converged, gap_bits = _fw_maximize(ay, az, g, 5000, 1e-9)
     assert converged
+    atoms = (ay[:, None, :, None] * az[None, :, None, :]).reshape(
+        len(ay) * len(az), -1)
     oracle = multiplicative_reference(atoms, g)
     assert abs(oracle - nats) <= 1e-9
     # the oracle is a feasible mixture, so it cannot pass FW's certificate
@@ -211,10 +254,12 @@ def test_fw_matches_multiplicative_oracle(problem):
 
 def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatch):
     """With no gap stop (tolerance 0) the run ends once the FW atom is also
-    the worst live atom, long before the cap, at the converged value."""
+    the worst live atom, long before the cap, at the converged value.  At
+    15 dB the 7 x 7 grid's explicit atoms end that way; at 10 dB the exact
+    step reaches a zero gap first."""
     atoms = support_grid_atoms(ref_scene, small_array, 7)
-    g = ref_scene.snr_gamma0
-    converged_nats, ok, _ = _fw_maximize(atoms, g, 5000, 1e-9)
+    g = db_to_linear(15)
+    converged_nats, ok, _ = _fw_maximize(atoms, ONE, g, 5000, 1e-9)
     assert ok
     solves = 0
     solve = np.linalg.solve
@@ -225,27 +270,51 @@ def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatc
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    nats, converged, _ = _fw_maximize(atoms, g, 2000, 0.0)
+    nats, converged, _ = _fw_maximize(atoms, ONE, g, 2000, 0.0)
     assert math.isfinite(nats) and abs(nats - converged_nats) <= 1e-12
     assert not converged and solves < 2000
 
 
 def test_fw_drop_step_zeroes_start_atom(small_array, monkeypatch):
-    """Atom 0 = (a1 + a2)/sqrt(2) of two orthogonal atoms lies outside the
-    optimal support {a1, a2}.  A drop step leaves it with weight exactly 0,
-    so its row of the final I + g W^1/2 G W^1/2 is e_0."""
+    """Atom 0 = (a1 + a2 + a3 + a4)/2 of four orthogonal atoms lies outside
+    the optimal support {a1, .., a4}.  Its last step is a drop step (root
+    0.243 against its weight 0.231, no tie) that leaves it with weight
+    exactly 0, so its row of the final I + g W^1/2 G W^1/2 is e_0."""
     sc = SceneConfig(100.0, 50.0, 2.0, 10.0, 1.0, 5, 1.0, far_field_ratio=0.3)
     null = 2 * sc.distance_d / small_array.m_y
-    a1, a2 = (steering_vector(Position(y, 0.0), small_array, sc) for y in (0.0, null))
-    atoms = np.array([(a1 + a2) / math.sqrt(2), a1, a2])
+    ortho = [steering_vector(Position(null * i, 0.0), small_array, sc)
+             for i in range(4)]
+    atoms = np.array([sum(ortho) / 2] + ortho)
     final = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet",
                         lambda h: final.append(h) or slogdet(h))
-    nats, converged, _ = _fw_maximize(atoms, 10.0, 400, 1e-9)
+    nats, converged, _ = _fw_maximize(atoms, ONE, 10.0, 400, 1e-9)
     assert converged
-    assert nats == pytest.approx(2 * math.log(1 + 10.0 / 2), abs=1e-12)
-    assert final[-1][0].tolist() == [1.0, 0.0, 0.0]
+    assert nats == pytest.approx(4 * math.log(1 + 10.0 / 4), abs=1e-12)
+    assert final[-1][0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_fw_coincident_atoms_take_the_drop_step(monkeypatch):
+    """At high SNR, atoms 1.3e-7 m apart are coincident to rounding: on this
+    set the step's denominator s_p s_a - |v_pa|^2 comes out <= 0.  The
+    step then takes the away atom's weight and no more, so the mixture stays
+    on the simplex (dividing by that denominator left weights near 1e5)."""
+    arr = ArrayConfig(8, 4)
+    sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
+    pts = [(0.05233606100324306, -0.07124918421186743),
+           (0.05233619062165429, -0.07124918421186743),
+           (0.05233606100324306, -0.07124905459345621),
+           (-0.7657871838968142, -0.5053175591902883)]
+    atoms = np.array([steering_vector(Position(y, z), arr, sc) for y, z in pts])
+    g = 6058.087639808198
+    final = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        lambda h: final.append(h) or slogdet(h))
+    _fw_maximize(atoms, ONE, g, 60, 0.0)
+    w = (np.diag(final[-1]).real - 1.0) / g  # h_kk = 1 + g w_k for unit atoms
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
 
 
 def test_default_support_bound_converges():
@@ -260,8 +329,11 @@ def test_default_support_bound_converges():
                               cfg.get("solver", "fw_gap_tol_bits"))
 
 
-# pairwise FW values, and the duality gaps in bits of the vanilla FW values
-# they replaced (15 and 20 dB stopped at the 400-iteration cap)
+# closed-form-step pairwise FW values; the pairwise values of the line-search
+# bisection they replaced; and the duality gaps in bits of the vanilla FW
+# values before those (15 and 20 dB stopped at the 400-iteration cap)
+CLOSED_FORM_BITS = {0: 0.14770314292621567, 15: 3.585384624433317,
+                    20: 6.520577796102931}
 PAIRWISE_BITS = {0: 0.14770314292621767, 15: 3.5853846244332885,
                  20: 6.520577796102887}
 VANILLA_GAP_BITS = {0: 1e-6, 15: 2.2e-3, 20: 4.1e-6}
@@ -273,13 +345,15 @@ VANILLA_GAP_BITS = {0: 1e-6, 15: 2.2e-3, 20: 4.1e-6}
 def test_support_solver_values_locked(ref_array, ref_scene, snr_db, vanilla_bits):
     """The Frank-Wolfe arithmetic is pinned bit for bit: the 64x16 array on
     the 41 x 41 grid at 400 iterations and a 1e-6-bit gap, which every SNR
-    meets before the cap.  Each value lies in the certificate bracket
-    [old - 1e-6, old + old gap] of the vanilla FW value it replaced."""
+    meets before the cap.  Each value is within 1e-12 bits of the bisection
+    line search's, and lies in the certificate bracket [old - 1e-6, old + old
+    gap] of the vanilla FW value it replaced."""
     sc = ref_scene.with_snr(db_to_linear(snr_db))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bits = snap_info_support(sc, ref_array, 41, 400, 1e-6)
-    assert bits == PAIRWISE_BITS[snr_db]
+    assert bits == CLOSED_FORM_BITS[snr_db]
+    assert abs(bits - PAIRWISE_BITS[snr_db]) <= 1e-12
     assert vanilla_bits - 1e-6 <= bits <= vanilla_bits + VANILLA_GAP_BITS[snr_db]
 
 

@@ -1,6 +1,5 @@
 import inspect
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -267,11 +266,24 @@ def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
     assert not (tmp_path / "bounds.csv").exists()
 
 
-def test_bounds_empty_snr_list_writes_header_only(tmp_path):
-    assert run(tmp_path, "--set", "sweep.snr_db_list=", "bounds") == 0
-    lines = [l for l in (tmp_path / "bounds.csv").read_text().splitlines()
-             if not l.startswith("#")]
-    assert lines == [",".join(f.name for f in fields(sweep.BoundPoint))]
+@pytest.mark.parametrize("command, key", [("bounds", "snr_db_list"),
+                                          ("bounds", "l_list"),
+                                          ("lstar", "snr_db_list"),
+                                          ("sweep", "snr_db_list"),
+                                          ("sweep", "l_list")])
+def test_empty_sweep_list_rejected(tmp_path, capsys, monkeypatch, command, key):
+    # one rule for every command that reads the list: exit 1, no table, and
+    # no Frank-Wolfe solve for a table without rows
+    monkeypatch.setattr(sweep, "snap_info_support", None)
+    assert run(tmp_path, "--set", f"sweep.{key}=", command) == 1
+    assert "sweep lists must be non-empty" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_lstar_ignores_empty_l_list(tmp_path):
+    # lstar does not read sweep.l_list
+    assert run(tmp_path, "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=",
+               "lstar") == 0
 
 
 def test_bounds_support_gate(tmp_path, capsys):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from embcom import codebook
-from embcom.arrays import ArrayConfig, SceneConfig
+from embcom.arrays import ArrayConfig, SceneConfig, db_to_linear
 from embcom.codebook import (LatticeGenerator, codebook_from_csv,
                              codebook_to_csv, greedy_packing_baseline,
                              hexagonal_design, hexagonal_size,
                              hexagonal_size_fixed_point, lambert_w0,
                              make_codebook, truncate_lattice, verify_codebook,
                              xi_factor, xi_h_factor)
+from embcom.config import load_config
 from embcom.field import b_codebook, bhattacharyya_grid, quadratic_params
 
 NULL_B_G10 = 1.1856236656577395
@@ -175,6 +176,24 @@ def test_sizing_consistency(ref_array, ref_scene):
             assert j * math.log(j / eps) <= xl + 1e-6
         # both sizings solve the same equation
         assert abs(hexagonal_size(eps, l, sc, ref_array) - math.floor(j_fp)) <= 1
+
+
+def test_lambert_w_matches_fixed_point_on_design_grid(monkeypatch):
+    """The two sizings of J log(J/eps) = Xi_h L agree within one codeword at
+    every design-grid point: 0-40 dB in 2.5 dB steps x the default l_list.
+    The design itself sizes by Lambert-W alone."""
+    cfg = load_config()
+    bad = []
+    for db in np.arange(0.0, 40.0 + 1e-9, 2.5):
+        for l in cfg.get("sweep", "l_list"):
+            sc = cfg.scene.with_snr(db_to_linear(db)).with_snapshots(l)
+            j_w = codebook._hexagonal_size_cont(cfg.eps, l, sc, cfg.array)
+            j_fp = hexagonal_size_fixed_point(cfg.eps, l, sc, cfg.array)
+            if abs(j_w - j_fp) > 1.0:
+                bad.append((db, l, j_w, j_fp))
+    assert bad == []
+    monkeypatch.setattr(codebook, "hexagonal_size_fixed_point", None)
+    hexagonal_design(cfg.eps, cfg.scene.with_snr(100.0), cfg.array)
 
 
 def _whitened_min_distance(cb, params):
