@@ -225,9 +225,11 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
     else:
         cb, _ = _configured_design(cfg)
     if len(cb) < 2:
-        raise ValueError(
-            "simulation needs at least 2 codewords; the configured design "
-            "yields J=1 (raise the SNR or snapshot count, or pass --codebook)")
+        source = (f"the imported codebook {codebook_path} has J={len(cb)}"
+                  if codebook_path is not None else
+                  f"the configured design yields J={len(cb)} (raise the SNR "
+                  "or snapshot count, or pass --codebook)")
+        raise ValueError(f"simulation needs at least 2 codewords; {source}")
     cb = _subsample(cb, cfg.get("sim", "max_codewords"), seed)
     report = estimate_errors(cb, cfg.get("sim", "trials_per_codeword"),
                              seed, scene, array)

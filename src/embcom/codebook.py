@@ -78,27 +78,26 @@ class DesignReport:
     whitened_spacing: float = 0.0
 
 
+_PAIRS_PER_CALL = 1 << 16  # pairs per field call of the worst-pair scan
+
+
 def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
                     scene: SceneConfig) -> tuple[float, int, int]:
     """Worst pair (b_min, i, k), i < k: the first minimum of the exact field
-    in row-major pair order; (inf, -1, -1) below two points."""
+    in row-major pair order, one field call per block of rows holding about
+    _PAIRS_PER_CALL pairs; (inf, -1, -1) below two points."""
     n = len(pts)
-    if n < 2:
-        return math.inf, -1, -1
-    if n <= 2048:
-        iu, ju = np.triu_indices(n, k=1)
+    rows_per_call = max(1, _PAIRS_PER_CALL // max(n, 1))
+    best = (math.inf, -1, -1)
+    for start in range(0, n - 1, rows_per_call):
+        rows = np.arange(start, min(start + rows_per_call, n - 1))
+        iu, ju = np.nonzero(rows[:, None] < np.arange(n))
+        iu += start
         b = bhattacharyya_grid(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1],
                                array, scene)
         p = int(np.argmin(b))
-        return float(b[p]), int(iu[p]), int(ju[p])
-    # row-chunked scan keeps memory linear for very large codebooks
-    best = (math.inf, -1, -1)
-    for i in range(n - 1):
-        b = bhattacharyya_grid(pts[i, 0] - pts[i + 1:, 0],
-                               pts[i, 1] - pts[i + 1:, 1], array, scene)
-        p = int(np.argmin(b))
         if b[p] < best[0]:
-            best = (float(b[p]), i, i + 1 + p)
+            best = (float(b[p]), int(iu[p]), int(ju[p]))
     return best
 
 
@@ -390,8 +389,9 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     kept up to date by one field evaluation per accepted point.  A prefix's
     worst pair is the running minimum of those exponents at acceptance; the
     field is even, so this is the pair verify_codebook finds."""
-    if candidate_grid_step <= 0:
-        raise ValueError(f"candidate grid step must be > 0, got {candidate_grid_step}")
+    if not 0 < candidate_grid_step < math.inf:
+        raise ValueError("candidate grid step must be finite and > 0, "
+                         f"got {candidate_grid_step}")
     l = scene.snapshots_l
     hy, hz = scene.extent_y / 2, scene.extent_z / 2
     ny = int(math.floor(2 * hy / candidate_grid_step + 1e-9)) + 1

@@ -5,6 +5,7 @@ unknown sections or keys are rejected by name."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .arrays import ArrayConfig, SceneConfig, db_to_linear
@@ -67,9 +68,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 # (section, key, smallest legal value).  The simulator's subsample keeps the
-# worst pair, so it needs two codewords; FW needs one iteration for a gap.
+# worst pair, so it needs two codewords; FW needs one iteration for a gap;
+# the RNG seed sequence takes non-negative integers.
 _LOWER_LIMITS = (
     ("sim", "max_codewords", 2),
+    ("sim", "seed", 0),
     ("solver", "dnec_rays", 1),
     ("solver", "dnec_tol_m", 0),
     ("solver", "support_grid_n", 1),
@@ -180,6 +183,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         v = cfg.get(sec, key)
         if not v >= lo:  # also rejects NaN
             raise ValueError(f"{sec}.{key} must be >= {lo}, got {v}")
+    for key in ("hex_rotation_rad", "hex_offset_y", "hex_offset_z"):
+        v = cfg.get("design", key)
+        if not math.isfinite(v):
+            raise ValueError(f"design.{key} must be finite, got {v}")
+    step = cfg.get("design", "greedy_grid_step_m")
+    if not 0 < step < math.inf:
+        raise ValueError(
+            f"design.greedy_grid_step_m must be finite and > 0, got {step}")
     return cfg
 
 

@@ -79,6 +79,17 @@ def test_bad_field_key_writes_nothing(tmp_path, key, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hex_rotation_rad", "nan"), ("hex_offset_y", "nan"), ("hex_offset_z", "inf"),
+    ("greedy_grid_step_m", "nan"), ("greedy_grid_step_m", "inf"),
+    ("greedy_grid_step_m", "0"), ("greedy_grid_step_m", "-0.1")])
+def test_bad_design_key_writes_nothing(tmp_path, capsys, key, value):
+    assert run(tmp_path, "--set", "scene.snr_db=20",
+               "--set", f"design.{key}={value}", "codebook") == 1
+    assert f"design.{key} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_parsing(tmp_path):
     cfg_file = tmp_path / "run.ini"
     cfg_file.write_text("[scene]\nsnr_db = 20\nsnapshots = 4\n")
@@ -167,6 +178,16 @@ def test_simulate_gate_and_negative_control(tmp_path):
 def test_simulate_rejects_singleton_design(tmp_path):
     # at 0 dB the design collapses to one codeword: validation error
     assert run(tmp_path, "--set", "scene.snr_db=0", "simulate") == 1
+
+
+def test_simulate_names_a_singleton_import(tmp_path, capsys):
+    csv = tmp_path / "one.csv"
+    csv.write_text("index,y_m,z_m\n0,0.0,0.0\n")
+    assert run(tmp_path, *SMALL_SIM, "simulate", "--codebook", str(csv)) == 1
+    err = capsys.readouterr().err
+    assert f"the imported codebook {csv} has J=1" in err
+    assert "configured design" not in err
+    assert not (tmp_path / "sim_report.json").exists()
 
 
 def test_simulate_uses_configured_lattice(tmp_path):
@@ -323,6 +344,13 @@ def test_lstar_command(tmp_path):
     rows = [l for l in text.splitlines()
             if l and not l.startswith(("#", "gamma0_db"))]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "sim.seed=-1"]])
+def test_negative_seed_rejected_by_name(tmp_path, capsys, args):
+    assert run(tmp_path, *args, *SMALL_SIM, "simulate") == 1
+    assert "sim.seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_flag_overrides(tmp_path):

@@ -131,6 +131,68 @@ def test_verify_is_the_only_pair_scan(monkeypatch, ref_array, ref_scene):
     assert rep20.b_min > rep5.b_min == cb.min_pairwise_b
 
 
+# --- worst-pair scan -------------------------------------------------------------
+
+def _first_min_pair(pts, array, scene):
+    """Brute-force worst pair: the full field matrix, first minimum over
+    i < k in row-major order."""
+    n = len(pts)
+    if n < 2:
+        return math.inf, -1, -1
+    b = np.array([bhattacharyya_grid(y - pts[:, 0], z - pts[:, 1], array, scene)
+                  for y, z in pts])
+    b[np.tril_indices(n)] = math.inf
+    i, k = divmod(int(np.argmin(b)), n)
+    return float(b[i, k]), i, k
+
+
+def _in_plane(j):
+    return np.random.default_rng(j).uniform(-1.0, 1.0, size=(j, 2))
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 50, 600])
+def test_scan_matches_bruteforce(ref_array, ref_scene, j):
+    # 50 points fit one field call; 600 take six, the last one partial
+    pts = _in_plane(j)
+    assert codebook._min_pairwise_b(pts, ref_array, ref_scene) == \
+        _first_min_pair(pts, ref_array, ref_scene)
+
+
+def test_scan_matches_bruteforce_beyond_2048(small_array, ref_scene):
+    pts = _in_plane(2100)
+    assert codebook._min_pairwise_b(pts, small_array, ref_scene) == \
+        _first_min_pair(pts, small_array, ref_scene)
+
+
+@pytest.mark.parametrize("pairs_per_call", [1, 100, 1000])
+def test_scan_keeps_first_of_tied_pairs(monkeypatch, ref_array, ref_scene,
+                                        pairs_per_call):
+    monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
+    pts = truncate_lattice(LatticeGenerator.from_matrix(0.25 * np.eye(2)),
+                           ref_scene, ref_array).as_array()
+    got = codebook._min_pairwise_b(pts, ref_array, ref_scene)
+    assert got == _first_min_pair(pts, ref_array, ref_scene)
+    # the minimum is tied across many pairs, in more than one block
+    iu, ku = np.triu_indices(len(pts), k=1)
+    tied = iu[bhattacharyya_grid(pts[iu, 0] - pts[ku, 0], pts[iu, 1] - pts[ku, 1],
+                                 ref_array, ref_scene) == got[0]]
+    rows_per_call = max(1, pairs_per_call // len(pts))
+    assert len(set(tied // rows_per_call)) > 1
+
+
+@pytest.mark.parametrize("j, pairs_per_call", [
+    (2, 1 << 16), (256, 1 << 16), (257, 1 << 16), (363, 1 << 16),
+    (2100, 1 << 16), (81, 16)])
+def test_scan_bounds_every_field_call(monkeypatch, call_log, small_array,
+                                      ref_scene, j, pairs_per_call):
+    monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
+    calls = call_log(codebook, "bhattacharyya_grid")
+    codebook._min_pairwise_b(_in_plane(j), small_array, ref_scene)
+    assert max(dy.size for dy, *_ in calls) <= max(pairs_per_call, j - 1)
+    rows_per_call = max(1, pairs_per_call // j)
+    assert len(calls) == math.ceil((j - 1) / rows_per_call)
+
+
 # --- Lambert-W ------------------------------------------------------------------
 
 def test_lambert_identity_logspaced():
@@ -454,8 +516,9 @@ def test_greedy_final_set_verifies(ref_array, ref_scene):
         sc = ref_scene.with_snr(g0)
         cb = greedy_packing_baseline(1e-3, sc, ref_array, 0.1)
         assert verify_codebook(cb, 1e-3, sc, ref_array).feasible
-    with pytest.raises(ValueError):
-        greedy_packing_baseline(1e-3, ref_scene, ref_array, 0.0)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            greedy_packing_baseline(1e-3, ref_scene, ref_array, step)
 
 
 def test_greedy_vs_hex_both_reported(ref_array, ref_scene):
