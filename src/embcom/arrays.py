@@ -56,13 +56,13 @@ class SceneConfig:
         for key in ("distance_d", "extent_y", "extent_z", "snr_gamma0",
                     "noise_var_sigma2", "pulse_duration_tp"):
             v = getattr(self, key)
-            if not v > 0:
-                raise ValueError(f"scene.{key} must be > 0, got {v}")
+            if not 0 < v < np.inf:
+                raise ValueError(f"scene.{key} must be finite and > 0, got {v}")
         if self.snapshots_l < 1 or int(self.snapshots_l) != self.snapshots_l:
             raise ValueError(
                 f"scene.snapshots_l must be a positive integer, got {self.snapshots_l}")
         ratio = max(self.extent_y, self.extent_z) / (2.0 * self.distance_d)
-        if ratio > self.far_field_ratio:
+        if not ratio <= self.far_field_ratio:
             raise ValueError(
                 f"scene violates the far-field small-angle regime: "
                 f"extent/(2*distance) = {ratio:.4g} > {self.far_field_ratio}")

@@ -81,14 +81,6 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     hz = cfg.get("field", "grid_half_z_m")
     radius = cfg.get("field", "profile_radius_m")
     npsi = cfg.get("field", "profile_points")
-    # every key is checked before anything is computed or written
-    if n < 2:
-        raise ValueError(f"field.grid_points must be >= 2, got {n}")
-    if not (0 < hy < math.inf and 0 < hz < math.inf):
-        raise ValueError("field grid half-extents must be finite and > 0")
-    if not 0 < radius < math.inf or npsi < 2:
-        raise ValueError("field.profile_radius_m must be finite and > 0 and "
-                         "field.profile_points >= 2")
     params = quadratic_params(array, scene)
     dy = np.linspace(-hy, hy, n)
     dz = np.linspace(-hz, hz, n)

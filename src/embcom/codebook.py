@@ -79,6 +79,7 @@ class DesignReport:
 
 
 _PAIRS_PER_CALL = 1 << 16  # pairs per field call of the worst-pair scan
+_MAX_CANDIDATES = 1 << 20  # candidates of the greedy baseline's grid
 
 
 def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
@@ -396,6 +397,9 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     hy, hz = scene.extent_y / 2, scene.extent_z / 2
     ny = int(math.floor(2 * hy / candidate_grid_step + 1e-9)) + 1
     nz = int(math.floor(2 * hz / candidate_grid_step + 1e-9)) + 1
+    if ny * nz > _MAX_CANDIDATES:
+        raise ValueError(f"candidate grid step {candidate_grid_step} m gives a "
+                         f"{ny} x {nz} grid, more than {_MAX_CANDIDATES} candidates")
     ys = -hy + candidate_grid_step * np.arange(ny)
     zs = -hz + candidate_grid_step * np.arange(nz)
 

@@ -1,6 +1,6 @@
 """Run configuration: an INI-style file with flat sections mirroring the
-domain types, plus dotted-path command-line overrides.  Parsing is strict;
-unknown sections or keys are rejected by name."""
+domain types, plus dotted-path command-line overrides.  Parsing is strict:
+unknown keys and values that break their key's rule are rejected by name."""
 
 from __future__ import annotations
 
@@ -15,74 +15,75 @@ __all__ = ["RunConfig", "load_config", "resolved_items"]
 _FLOAT_LIST = "float_list"
 _INT_LIST = "int_list"
 
-# section -> key -> (type, default); None default means key is optional
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+# rule -> predicate; the rule is also the phrase of the error message, and
+# NaN fails every predicate
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    ">= 100": lambda v: v >= 100,
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: 0 < v < math.inf,
+    "in (0,1)": lambda v: 0 < v < 1,
+}
+
+# section -> key -> (type, default, rule); a None default means the key is
+# optional, and a list key's rule holds for each entry
+_SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
     "array": {
-        "m_y": ("int", 64),
-        "m_z": ("int", 16),
+        "m_y": ("int", 64, ">= 1"),
+        "m_z": ("int", 16, ">= 1"),
     },
     "scene": {
-        "distance_m": ("float", 100.0),
-        "extent_y_m": ("float", 2.0),
-        "extent_z_m": ("float", 2.0),
-        "snr_db": ("float", None),
-        "snr_gamma0": ("float", None),
-        "noise_var": ("float", 1.0),
-        "snapshots": ("int", 5),
-        "pulse_duration_s": ("float", 1.0),
-        "far_field_ratio": ("float", 0.05),
+        "distance_m": ("float", 100.0, "finite and > 0"),
+        "extent_y_m": ("float", 2.0, "finite and > 0"),
+        "extent_z_m": ("float", 2.0, "finite and > 0"),
+        "snr_db": ("float", None, "finite"),
+        "snr_gamma0": ("float", None, "finite and > 0"),
+        "noise_var": ("float", 1.0, "finite and > 0"),
+        "snapshots": ("int", 5, ">= 1"),
+        "pulse_duration_s": ("float", 1.0, "finite and > 0"),
+        "far_field_ratio": ("float", 0.05, "finite and > 0"),
     },
     "design": {
-        "epsilon": ("float", 1e-3),
-        "hex_rotation_rad": ("float", 0.0),
-        "hex_offset_y": ("float", 0.0),
-        "hex_offset_z": ("float", 0.0),
-        "greedy_grid_step_m": ("float", 0.1),
+        "epsilon": ("float", 1e-3, "in (0,1)"),
+        "hex_rotation_rad": ("float", 0.0, "finite"),
+        "hex_offset_y": ("float", 0.0, "finite"),
+        "hex_offset_z": ("float", 0.0, "finite"),
+        "greedy_grid_step_m": ("float", 0.1, "finite and > 0"),
     },
     "sweep": {
-        "snr_db_list": (_FLOAT_LIST, (0.0, 5.0, 10.0, 15.0, 20.0)),
-        "l_list": (_INT_LIST, (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40)),
+        "snr_db_list": (_FLOAT_LIST, (0.0, 5.0, 10.0, 15.0, 20.0), "finite"),
+        "l_list": (_INT_LIST, (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40),
+                   ">= 1"),
     },
     "solver": {
-        "dnec_rays": ("int", 720),
-        "dnec_tol_m": ("float", 1e-5),
-        "support_grid_n": ("int", 41),
-        "fw_iters": ("int", 400),
-        "fw_gap_tol_bits": ("float", 1e-6),
+        "dnec_rays": ("int", 720, ">= 1"),
+        "dnec_tol_m": ("float", 1e-5, ">= 0"),
+        "support_grid_n": ("int", 41, ">= 1"),
+        "fw_iters": ("int", 400, ">= 1"),  # FW needs one iteration for a gap
+        "fw_gap_tol_bits": ("float", 1e-6, ">= 0"),
     },
     "sim": {
-        "trials_per_codeword": ("int", 20000),
-        "seed": ("int", 12345),
-        "max_codewords": ("int", 16),
+        "trials_per_codeword": ("int", 20000, ">= 100"),  # estimate_errors' floor
+        "seed": ("int", 12345, ">= 0"),  # seed sequences take non-negative ints
+        "max_codewords": ("int", 16, ">= 2"),  # the subsample keeps the worst pair
     },
     "field": {
-        "grid_half_y_m": ("float", 2.0),
-        "grid_half_z_m": ("float", 2.0),
-        "grid_points": ("int", 81),
-        "profile_radius_m": ("float", 0.5),
-        "profile_points": ("int", 360),
+        "grid_half_y_m": ("float", 2.0, "finite and > 0"),
+        "grid_half_z_m": ("float", 2.0, "finite and > 0"),
+        "grid_points": ("int", 81, ">= 2"),
+        "profile_radius_m": ("float", 0.5, "finite and > 0"),
+        "profile_points": ("int", 360, ">= 2"),
     },
     "output": {
-        "directory": ("str", "out"),
+        "directory": ("str", "out", None),
     },
 }
 
-# (section, key, smallest legal value).  The simulator's subsample keeps the
-# worst pair, so it needs two codewords; FW needs one iteration for a gap;
-# the RNG seed sequence takes non-negative integers.
-_LOWER_LIMITS = (
-    ("sim", "max_codewords", 2),
-    ("sim", "seed", 0),
-    ("solver", "dnec_rays", 1),
-    ("solver", "dnec_tol_m", 0),
-    ("solver", "support_grid_n", 1),
-    ("solver", "fw_iters", 1),
-    ("solver", "fw_gap_tol_bits", 0),
-)
-
 
 def _convert(section: str, key: str, raw: str):
-    kind, _ = _SCHEMA[section][key]
+    kind = _SCHEMA[section][key][0]
     try:
         if kind == "int":
             return int(raw)
@@ -131,10 +132,7 @@ class RunConfig:
 
     @property
     def eps(self) -> float:
-        e = self.get("design", "epsilon")
-        if not 0 < e < 1:
-            raise ValueError(f"design.epsilon must be in (0,1), got {e}")
-        return e
+        return self.get("design", "epsilon")
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,
@@ -142,12 +140,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     """Resolve defaults, an optional INI file, and dotted --set overrides into
     a validated RunConfig."""
     values: dict[str, dict[str, object]] = {
-        sec: {k: default for k, (_, default) in keys.items()}
+        sec: {k: default for k, (_, default, _) in keys.items()}
         for sec, keys in _SCHEMA.items()
     }
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         read = parser.read(path)
         if not read:
             raise OSError(f"config file not found: {path}")
@@ -175,22 +173,16 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     if seed is not None:
         values["sim"]["seed"] = int(seed)
 
+    for sec, keys in _SCHEMA.items():
+        for key, (_, _, rule) in keys.items():
+            v = values[sec][key]
+            if rule is None or v is None:
+                continue
+            for x in v if isinstance(v, tuple) else (v,):
+                if not _RULES[rule](x):
+                    raise ValueError(f"{sec}.{key} must be {rule}, got {x}")
     cfg = RunConfig(values)
-    cfg.array
-    cfg.scene
-    cfg.eps
-    for sec, key, lo in _LOWER_LIMITS:
-        v = cfg.get(sec, key)
-        if not v >= lo:  # also rejects NaN
-            raise ValueError(f"{sec}.{key} must be >= {lo}, got {v}")
-    for key in ("hex_rotation_rad", "hex_offset_y", "hex_offset_z"):
-        v = cfg.get("design", key)
-        if not math.isfinite(v):
-            raise ValueError(f"design.{key} must be finite, got {v}")
-    step = cfg.get("design", "greedy_grid_step_m")
-    if not 0 < step < math.inf:
-        raise ValueError(
-            f"design.greedy_grid_step_m must be finite and > 0, got {step}")
+    cfg.scene  # the checks that span keys: far-field ratio, snr_db xor snr_gamma0
     return cfg
 
 

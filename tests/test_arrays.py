@@ -44,6 +44,10 @@ def test_scene_config_validation():
         SceneConfig(100.0, snr_gamma0=-1.0)
     with pytest.raises(ValueError):
         SceneConfig(100.0, extent_y=50.0)  # breaks the far-field ratio
+    with pytest.raises(ValueError, match="far-field"):
+        SceneConfig(1.0, far_field_ratio=float("nan"))
+    with pytest.raises(ValueError, match="scene.distance_d must be finite and > 0"):
+        SceneConfig(float("inf"))
     sc = SceneConfig(100.0, snr_gamma0=4.0, noise_var_sigma2=2.5)
     assert sc.echo_power_rho2 == pytest.approx(10.0)
 

@@ -1,12 +1,13 @@
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from embcom import bounds, field, sweep
 from embcom.cli import main
 from embcom.codebook import _min_pairwise_b, hexagonal_design
-from embcom.config import load_config
+from embcom.config import _RULES, _SCHEMA, load_config
 
 
 SMALL_SIM = ["--set", "scene.snr_db=20", "--set", "sim.trials_per_codeword=300"]
@@ -88,6 +89,48 @@ def test_bad_design_key_writes_nothing(tmp_path, capsys, key, value):
                "--set", f"design.{key}={value}", "codebook") == 1
     assert f"design.{key} must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, sets, message", [
+    # every command checks every key, also keys it does not read
+    ("field", ["scene.far_field_ratio=nan", "scene.distance_m=1"],
+     "scene.far_field_ratio must be finite and > 0, got nan"),
+    ("field", ["scene.distance_m=inf"], "scene.distance_m must be finite and > 0"),
+    ("field", ["scene.distance_m=-5"], "scene.distance_m must be finite and > 0"),
+    ("codebook", ["scene.snr_db=inf"], "scene.snr_db must be finite, got inf"),
+    ("lstar", ["sweep.snr_db_list=10,inf"], "sweep.snr_db_list must be finite"),
+    ("simulate", ["scene.snr_db=20", "scene.noise_var=inf"],
+     "scene.noise_var must be finite and > 0"),
+    ("sweep", ["scene.pulse_duration_s=inf"],
+     "scene.pulse_duration_s must be finite and > 0"),
+    ("sweep", ["sweep.l_list=5,0"], "sweep.l_list must be >= 1, got 0"),
+    ("sweep", ["sim.trials_per_codeword=50"],
+     "sim.trials_per_codeword must be >= 100, got 50"),
+    ("sweep", ["field.grid_points=1"], "field.grid_points must be >= 2, got 1"),
+    ("lstar", ["field.profile_radius_m=inf"],
+     "field.profile_radius_m must be finite and > 0"),
+    ("lstar", ["scene.snr_gamma0=nan"], "scene.snr_gamma0 must be finite and > 0"),
+    ("lstar", ["array.m_z=0"], "array.m_z must be >= 1, got 0")])
+def test_every_command_checks_every_key(tmp_path, capsys, command, sets, message):
+    args = [arg for s in sets for arg in ("--set", s)]
+    assert run(tmp_path, *args, command) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_key_but_the_directory_has_a_rule():
+    rules = {f"{sec}.{key}": rule for sec, keys in _SCHEMA.items()
+             for key, (_, _, rule) in keys.items()}
+    assert len(rules) == 32
+    assert rules.pop("output.directory") is None
+    assert all(rule in _RULES for rule in rules.values())
+
+
+def test_readme_ini_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ini = tmp_path / "readme.ini"
+    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert load_config(str(ini)) == load_config(overrides=["scene.snr_db=10.0"])
 
 
 def test_config_file_parsing(tmp_path):

@@ -521,6 +521,15 @@ def test_greedy_final_set_verifies(ref_array, ref_scene):
             greedy_packing_baseline(1e-3, ref_scene, ref_array, step)
 
 
+def test_greedy_rejects_an_oversized_grid(ref_array, ref_scene, monkeypatch):
+    # the default 0.1 m step gives 21 x 21 = 441 candidates; the cap is
+    # checked before the grid or any field value is computed
+    monkeypatch.setattr(codebook, "_MAX_CANDIDATES", 100)
+    monkeypatch.setattr(codebook, "bhattacharyya_grid", None)
+    with pytest.raises(ValueError, match=r"step 0\.1 m gives a 21 x 21 grid"):
+        greedy_packing_baseline(1e-3, ref_scene, ref_array, 0.1)
+
+
 def test_greedy_vs_hex_both_reported(ref_array, ref_scene):
     """Neither construction dominates; both must verify at their own size."""
     sizes = {}
