@@ -125,9 +125,11 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
         greedy_j = None
     else:
         cb, rep = _configured_design(cfg)
-        greedy = greedy_packing_baseline(eps, scene, array,
-                                         cfg.get("design", "greedy_grid_step_m"))
-        greedy_j = len(greedy)
+        try:
+            greedy_j = len(greedy_packing_baseline(
+                eps, scene, array, cfg.get("design", "greedy_grid_step_m")))
+        except ValueError as exc:
+            raise ValueError(f"design.greedy_grid_step_m: {exc}") from None
         mode = "design"
         codebook_to_csv(cb, out / "codebook.csv", tuple(_header_lines(cfg)))
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import ArrayConfig, Position, SceneConfig, position_in_plane
-from .field import (b_codebook, bhattacharyya_grid, field_ceiling,
-                    quadratic_params)
+from .field import (_exponent, axis_kernel, b_codebook, bhattacharyya_grid,
+                    field_ceiling, quadratic_params)
 
 __all__ = [
     "LatticeGenerator", "Codebook", "DesignReport", "make_codebook",
@@ -78,27 +78,34 @@ class DesignReport:
     whitened_spacing: float = 0.0
 
 
-_PAIRS_PER_CALL = 1 << 16  # pairs per field call of the worst-pair scan
-_MAX_CANDIDATES = 1 << 20  # candidates of the greedy baseline's grid
+_PAIRS_PER_CALL = 1 << 16  # pairs per block of the worst-pair scan
+_MAX_CANDIDATES = 1 << 20  # entries of the greedy's grid and of each axis table
 
 
 def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
                     scene: SceneConfig) -> tuple[float, int, int]:
     """Worst pair (b_min, i, k), i < k: the first minimum of the exact field
-    in row-major pair order, one field call per block of rows holding about
-    _PAIRS_PER_CALL pairs; (inf, -1, -1) below two points."""
+    in row-major pair order, (inf, -1, -1) below two points.
+
+    Each block of rows holding about _PAIRS_PER_CALL pairs takes the field
+    over its rows x the columns k > its first row from per-axis kernel
+    tables, with k <= i set to inf, so the block's first argmin is its
+    first pair at the minimum; a later block wins only when strictly
+    smaller."""
     n = len(pts)
     rows_per_call = max(1, _PAIRS_PER_CALL // max(n, 1))
     best = (math.inf, -1, -1)
     for start in range(0, n - 1, rows_per_call):
-        rows = np.arange(start, min(start + rows_per_call, n - 1))
-        iu, ju = np.nonzero(rows[:, None] < np.arange(n))
-        iu += start
-        b = bhattacharyya_grid(pts[iu, 0] - pts[ju, 0], pts[iu, 1] - pts[ju, 1],
-                               array, scene)
-        p = int(np.argmin(b))
-        if b[p] < best[0]:
-            best = (float(b[p]), int(iu[p]), int(ju[p]))
+        rows = pts[start:min(start + rows_per_call, n - 1)]
+        cols = pts[start + 1:]
+        b = _exponent(axis_kernel(rows[:, 0], cols[:, 0], array.m_y, scene)
+                      * axis_kernel(rows[:, 1], cols[:, 1], array.m_z, scene),
+                      scene)
+        r = len(rows)
+        b[:, :r][np.tri(r, k=-1, dtype=bool)] = math.inf  # k <= i
+        i, k = divmod(int(b.argmin()), b.shape[1])
+        if b[i, k] < best[0]:
+            best = (float(b[i, k]), start + i, start + 1 + k)
     return best
 
 
@@ -387,7 +394,9 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     to every accepted codeword clears the threshold for the tentative size,
     then keep the longest prefix that passes the exact check (threshold grows
     with J).  Each candidate's smallest exponent to the accepted points is
-    kept up to date by one field evaluation per accepted point.  A prefix's
+    kept up to date from per-axis kernel tables built once per call, and the
+    next accepted candidate is the first one from the scan position that
+    clears the threshold, which changes only at an acceptance.  A prefix's
     worst pair is the running minimum of those exponents at acceptance; the
     field is even, so this is the pair verify_codebook finds."""
     if not 0 < candidate_grid_step < math.inf:
@@ -395,25 +404,33 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
                          f"got {candidate_grid_step}")
     l = scene.snapshots_l
     hy, hz = scene.extent_y / 2, scene.extent_z / 2
-    ny = int(math.floor(2 * hy / candidate_grid_step + 1e-9)) + 1
-    nz = int(math.floor(2 * hz / candidate_grid_step + 1e-9)) + 1
-    if ny * nz > _MAX_CANDIDATES:
+    # counts as floats: a tiny step makes them too large for int()
+    ny, nz = (np.floor(2 * h / candidate_grid_step + 1e-9) + 1 for h in (hy, hz))
+    if max(ny * nz, ny * ny, nz * nz) > _MAX_CANDIDATES:
         raise ValueError(f"candidate grid step {candidate_grid_step} m gives a "
-                         f"{ny} x {nz} grid, more than {_MAX_CANDIDATES} candidates")
-    ys = -hy + candidate_grid_step * np.arange(ny)
-    zs = -hz + candidate_grid_step * np.arange(nz)
+                         f"{ny:g} x {nz:g} grid, more than {_MAX_CANDIDATES} "
+                         "candidates or entries of an axis table")
+    ys = -hy + candidate_grid_step * np.arange(int(ny))
+    zs = -hz + candidate_grid_step * np.arange(int(nz))
+    e_y = axis_kernel(ys, ys, array.m_y, scene)  # e_y[a, b] = e_y(ys[a] - ys[b])
+    e_z = axis_kernel(zs, zs, array.m_z, scene)
 
     # each candidate's smallest exponent to the points accepted so far
-    nearest = np.full((ny, nz), math.inf)
+    nearest = np.full((len(ys), len(zs)), math.inf)
     acc = []
     b_new = []  # each accepted point's smallest exponent to the earlier ones
-    for iy, y in enumerate(ys):
-        for iz, z in enumerate(zs):
-            if nearest[iy, iz] >= b_codebook(len(acc) + 1, eps, l):
-                acc.append((y, z))
-                b_new.append(nearest[iy, iz])
-                np.minimum(nearest, bhattacharyya_grid(ys[:, None] - y, zs - z,
-                                                       array, scene), out=nearest)
+    p = 0  # row-major scan position
+    while True:
+        hits = np.flatnonzero(nearest.ravel()[p:] >= b_codebook(len(acc) + 1, eps, l))
+        if not hits.size:
+            break
+        p += int(hits[0])
+        iy, iz = divmod(p, len(zs))
+        acc.append((ys[iy], zs[iz]))
+        b_new.append(nearest[iy, iz])
+        np.minimum(nearest, _exponent(e_y[:, iy, None] * e_z[:, iz], scene),
+                   out=nearest)
+        p += 1
 
     worst = np.minimum.accumulate(b_new)
     j = max(k for k in range(1, len(acc) + 1)

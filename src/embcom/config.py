@@ -19,6 +19,7 @@ _INT_LIST = "int_list"
 # NaN fails every predicate
 _RULES = {
     ">= 0": lambda v: v >= 0,
+    ">= 0 and finite": lambda v: 0 <= v < math.inf,
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     ">= 100": lambda v: v >= 100,
@@ -59,10 +60,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
     },
     "solver": {
         "dnec_rays": ("int", 720, ">= 1"),
-        "dnec_tol_m": ("float", 1e-5, ">= 0"),
+        "dnec_tol_m": ("float", 1e-5, ">= 0 and finite"),
         "support_grid_n": ("int", 41, ">= 1"),
         "fw_iters": ("int", 400, ">= 1"),  # FW needs one iteration for a gap
-        "fw_gap_tol_bits": ("float", 1e-6, ">= 0"),
+        "fw_gap_tol_bits": ("float", 1e-6, ">= 0 and finite"),
     },
     "sim": {
         "trials_per_codeword": ("int", 20000, ">= 100"),  # estimate_errors' floor

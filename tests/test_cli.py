@@ -91,6 +91,16 @@ def test_bad_design_key_writes_nothing(tmp_path, capsys, key, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", ["1e-4", "1e-320"])
+def test_oversized_greedy_grid_rejected_by_key(tmp_path, capsys, step):
+    # 1e-320 m overflows the grid count to inf; both exceed 2^20 candidates
+    assert run(tmp_path, "--set", "scene.snr_db=20",
+               "--set", f"design.greedy_grid_step_m={step}", "codebook") == 1
+    assert "error: design.greedy_grid_step_m: candidate grid step" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, sets, message", [
     # every command checks every key, also keys it does not read
     ("field", ["scene.far_field_ratio=nan", "scene.distance_m=1"],
@@ -319,10 +329,12 @@ def test_sweep_ray_search_tolerance(tmp_path, capped_field, tol, code):
 
 @pytest.mark.parametrize("key, value", [
     ("dnec_rays", "0"), ("dnec_tol_m", "-1"), ("dnec_tol_m", "nan"),
-    ("support_grid_n", "0"), ("fw_iters", "0"), ("fw_gap_tol_bits", "-1"),
-    ("fw_gap_tol_bits", "nan")])
+    ("dnec_tol_m", "inf"), ("support_grid_n", "0"), ("fw_iters", "0"),
+    ("fw_gap_tol_bits", "-1"), ("fw_gap_tol_bits", "nan"),
+    ("fw_gap_tol_bits", "inf")])
 def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
-    # unchecked, fw_iters=0 runs no FW and reports a false violation (exit 2)
+    # unchecked, fw_iters=0 runs no FW and reports a false violation (exit 2),
+    # and so does fw_gap_tol_bits=inf, which stops FW at once
     assert run(tmp_path, "--set", "sweep.snr_db_list=20", "--set", "sweep.l_list=5",
                "--set", "solver.dnec_rays=90", "--set", f"solver.{key}={value}",
                "bounds") == 1

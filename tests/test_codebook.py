@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from embcom import codebook
+from embcom import codebook, field
 from embcom.arrays import ArrayConfig, SceneConfig, db_to_linear
 from embcom.codebook import (LatticeGenerator, codebook_from_csv,
                              codebook_to_csv, greedy_packing_baseline,
@@ -183,14 +183,56 @@ def test_scan_keeps_first_of_tied_pairs(monkeypatch, ref_array, ref_scene,
 @pytest.mark.parametrize("j, pairs_per_call", [
     (2, 1 << 16), (256, 1 << 16), (257, 1 << 16), (363, 1 << 16),
     (2100, 1 << 16), (81, 16)])
-def test_scan_bounds_every_field_call(monkeypatch, call_log, small_array,
-                                      ref_scene, j, pairs_per_call):
+def test_scan_bounds_every_table_and_block(monkeypatch, call_log, small_array,
+                                           ref_scene, j, pairs_per_call):
+    # one kernel table per axis and one field block per block of rows, none
+    # larger than a block's rows x the columns after its first row
     monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
-    calls = call_log(codebook, "bhattacharyya_grid")
+    tables = call_log(field, "_dirichlet_sq")
+    blocks = call_log(codebook, "_exponent")
     codebook._min_pairwise_b(_in_plane(j), small_array, ref_scene)
-    assert max(dy.size for dy, *_ in calls) <= max(pairs_per_call, j - 1)
     rows_per_call = max(1, pairs_per_call // j)
-    assert len(calls) == math.ceil((j - 1) / rows_per_call)
+    assert len(blocks) == math.ceil((j - 1) / rows_per_call)
+    assert len(tables) == 2 * len(blocks)
+    assert max(np.size(args[0]) for args in tables + blocks) <= \
+        max(pairs_per_call, j - 1)
+
+
+@pytest.mark.parametrize("rotation, offset_w", [(0.0, (0.0, 0.0)),
+                                                (0.3, (0.011, -0.007))])
+def test_scan_matches_bruteforce_on_hex_lattice(ref_array, ref_scene, rotation,
+                                                offset_w):
+    # unrotated, the lattice repeats each coordinate across many points;
+    # rotated and offset, its coordinates are nearly all distinct
+    sc = ref_scene.with_snr(db_to_linear(35.0)).with_snapshots(20)
+    cb, rep = hexagonal_design(1e-3, sc, ref_array, rotation, offset_w)
+    pts = cb.as_array()
+    assert rep.j > 250
+    assert codebook._min_pairwise_b(pts, ref_array, sc) == \
+        _first_min_pair(pts, ref_array, sc)
+
+
+def test_scan_matches_bruteforce_after_csv_roundtrip(tmp_path, ref_array,
+                                                     ref_scene):
+    sc = ref_scene.with_snr(db_to_linear(40.0)).with_snapshots(20)
+    cb, rep = hexagonal_design(1e-3, sc, ref_array)
+    codebook_to_csv(cb, tmp_path / "cb.csv")
+    pts = codebook_from_csv(tmp_path / "cb.csv", ref_array, sc).as_array()
+    assert rep.j > 900
+    assert codebook._min_pairwise_b(pts, ref_array, sc) == \
+        _first_min_pair(pts, ref_array, sc) == \
+        codebook._min_pairwise_b(cb.as_array(), ref_array, sc)
+
+
+def test_scan_evaluates_few_kernel_elements_on_a_lattice(call_log, ref_array,
+                                                         ref_scene):
+    # the emitted 40 dB, L = 40 design has 365 distinct y and 25 distinct z
+    sc = ref_scene.with_snr(db_to_linear(40.0)).with_snapshots(40)
+    cb, rep = hexagonal_design(1e-3, sc, ref_array)
+    assert rep.j == 2163
+    tables = call_log(field, "_dirichlet_sq")
+    codebook._min_pairwise_b(cb.as_array(), ref_array, sc)
+    assert sum(np.size(args[0]) for args in tables) < 2163 * 2162 / 2 / 4
 
 
 # --- Lambert-W ------------------------------------------------------------------
@@ -489,14 +531,18 @@ def test_greedy_incremental_scan_matches_reference(ref_array, ref_scene, snr_db,
     assert len(cb) >= 2
 
 
-def test_greedy_one_field_call_per_accepted_point(call_log, ref_array, ref_scene):
+def test_greedy_one_kernel_table_per_axis(call_log, ref_array, ref_scene):
+    # one kernel table per axis per call, one field evaluation over the
+    # candidate grid per accepted point
     sc = replace(ref_scene.with_snr(1000.0).with_snapshots(20),
                  extent_y=3.0, extent_z=1.4)
     _, n_accepted = greedy_scan_reference(1e-3, sc, ref_array, 0.1)
-    calls = call_log(codebook, "bhattacharyya_grid")
+    tables = call_log(field, "_dirichlet_sq")
+    fields = call_log(codebook, "_exponent")
     greedy_packing_baseline(1e-3, sc, ref_array, 0.1)
     assert 2 <= n_accepted < 31 * 15
-    assert [np.broadcast(dy, dz).shape for dy, dz, *_ in calls] == [(31, 15)] * n_accepted
+    assert [np.shape(args[0]) for args in tables] == [(31, 31), (15, 15)]
+    assert [np.shape(args[0]) for args in fields] == [(31, 15)] * n_accepted
 
 
 def test_greedy_whole_plane_forbidden(ref_array, ref_scene):
@@ -526,8 +572,16 @@ def test_greedy_rejects_an_oversized_grid(ref_array, ref_scene, monkeypatch):
     # checked before the grid or any field value is computed
     monkeypatch.setattr(codebook, "_MAX_CANDIDATES", 100)
     monkeypatch.setattr(codebook, "bhattacharyya_grid", None)
+    monkeypatch.setattr(codebook, "axis_kernel", None)
     with pytest.raises(ValueError, match=r"step 0\.1 m gives a 21 x 21 grid"):
         greedy_packing_baseline(1e-3, ref_scene, ref_array, 0.1)
+    # a thin plane's grid fits, but its 21 x 21 y-axis table does not
+    thin = replace(ref_scene, extent_z=0.05)
+    with pytest.raises(ValueError, match=r"gives a 21 x 1 grid"):
+        greedy_packing_baseline(1e-3, thin, ref_array, 0.1)
+    # 2 m / 1e-320 overflows to inf, which int() cannot take
+    with pytest.raises(ValueError, match=r"gives a inf x inf grid"):
+        greedy_packing_baseline(1e-3, ref_scene, ref_array, 1e-320)
 
 
 def test_greedy_vs_hex_both_reported(ref_array, ref_scene):

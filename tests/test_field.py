@@ -76,6 +76,27 @@ def test_field_is_bitwise_even(ref_array, ref_scene, snr_db):
                           bhattacharyya_grid(-dy, -dz, ref_array, sc))
 
 
+def test_axis_kernel_is_the_per_pair_factor_bitwise(ref_array, ref_scene):
+    # repeated coordinates, near repeats, both signed zeros and NaN: the
+    # table lookup gives each difference's factor, and so its field, as
+    # bhattacharyya_grid does
+    rng = np.random.default_rng(31)
+    ya = np.concatenate([rng.choice(np.linspace(-1.0, 1.0, 7), 40),
+                         rng.uniform(-1.0, 1.0, 20),
+                         [0.3, 0.3 + 1e-12, 0.0, -0.0, math.nan]])
+    yb = np.concatenate([ya[::-2], [-0.0, 0.0, 200.0]])
+    za, zb = rng.permutation(ya), rng.permutation(yb)
+    ey = field.axis_kernel(ya, yb, ref_array.m_y, ref_scene)
+    ez = field.axis_kernel(za, zb, ref_array.m_z, ref_scene)
+    np.testing.assert_array_equal(
+        ey, field._dirichlet_sq(ya[:, None] - yb, ref_array.m_y,
+                                ref_scene.distance_d))
+    np.testing.assert_array_equal(
+        field._exponent(ey * ez, ref_scene),
+        bhattacharyya_grid(ya[:, None] - yb, za[:, None] - zb, ref_array,
+                           ref_scene))
+
+
 def test_pairwise_error_bound(ref_array, ref_scene):
     assert pairwise_error_bound(Displacement(0, 0), 5, ref_array, ref_scene) == 1.0
     null = Displacement(3.125, 0.0)
