@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import (_min_pairwise_b, codebook_from_csv, codebook_to_csv,
+from .codebook import (_CSV_FLOAT, _min_pairwise_b, _write_csv,
+                       codebook_from_csv, codebook_to_csv,
                        greedy_packing_baseline, hexagonal_design, make_codebook,
                        verify_codebook)
 from .config import RunConfig, load_config, resolved_items
@@ -33,39 +34,19 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 
-def _fmt(x) -> str:
-    if type(x) is float:
-        return f"{x:.17g}"
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def _header_lines(cfg: RunConfig) -> list[str]:
     return [f"{k} = {v}" for k, v in resolved_items(cfg)]
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for line in _header_lines(cfg):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
-
-
 def _write_table(path: Path, cfg: RunConfig, row_type, rows) -> None:
     """CSV of dataclass rows: one column per field of ``row_type``, in order."""
-    _write_csv(path, cfg, [f.name for f in fields(row_type)],
-               [astuple(r) for r in rows])
+    _write_csv(path, _header_lines(cfg), [f.name for f in fields(row_type)],
+               map(astuple, rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -87,15 +68,18 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     gy, gz = np.meshgrid(dy, dz, indexing="ij")
     b_exact = bhattacharyya_grid(gy, gz, array, scene)
     b_quad = bhattacharyya_quadratic_grid(gy, gz, params)
-    rows = zip(*(a.ravel().tolist() for a in (gy, gz, b_exact, b_quad)))
-    _write_csv(out / "field_grid.csv", cfg,
+    # the grid repeats each axis coordinate n times: format each one once
+    ty, tz = ([_CSV_FLOAT % v for v in axis.tolist()] for axis in (dy, dz))
+    rows = zip([t for t in ty for _ in tz], tz * n,
+               b_exact.ravel().tolist(), b_quad.ravel().tolist())
+    _write_csv(out / "field_grid.csv", _header_lines(cfg),
                ["dy", "dz", "b_exact", "b_quadratic"], rows)
 
     psi = np.linspace(0.0, 2 * np.pi, npsi, endpoint=False)
     b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
                                array, scene)
-    _write_csv(out / "field_profile.csv", cfg, ["psi_rad", "b_exact"],
-               zip(psi.tolist(), b_psi.tolist()))
+    _write_csv(out / "field_profile.csv", _header_lines(cfg),
+               ["psi_rad", "b_exact"], zip(psi.tolist(), b_psi.tolist()))
     return EXIT_OK
 
 
@@ -258,7 +242,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
             rows.append((i, k, report.pairwise_empirical[i][k],
                          report.pairwise_bound[i][k],
                          report.pairwise_halfwidth[i][k]))
-    _write_csv(out / "sim_pairwise.csv", cfg,
+    _write_csv(out / "sim_pairwise.csv", _header_lines(cfg),
                ["i", "j", "empirical_rate", "bhatt_bound", "halfwidth"], rows)
     if payload["bound_violations"]:
         for msg in payload["bound_violations"]:
@@ -277,11 +261,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command -> (one-line help, its options as (flag, add_argument keywords));
+# main runs cmd_<command>(cfg, out, **options)
+_COMMANDS = {
+    "field": ("dump the reliability field grid and polar profile", ()),
+    "codebook": ("emit the hexagonal design or verify a CSV", (
+        ("--verify", dict(
+            metavar="CSV", default=None, dest="verify_path",
+            help="verify an imported codebook instead of designing one")),)),
+    "sweep": ("rate and L* sweeps over the configured grids", ()),
+    "bounds": ("all converse bounds per sweep point", ()),
+    "lstar": ("optimal snapshot count versus SNR", ()),
+    "simulate": ("Monte Carlo error estimation", (
+        ("--codebook", dict(metavar="CSV", default=None, dest="codebook_path",
+                            help="simulate an imported codebook")),
+        ("--self-test-corrupt", dict(
+            action="store_true", dest="corrupt",
+            help="corrupt the analytic bounds to exercise the soundness gate "
+                 "(must exit 2)")))),
+}
+
+
+def _parse(argv) -> tuple[argparse.Namespace, str, dict]:
+    """(global options, command, command options) of one call, from two
+    parsers built for it: the global options and the command name with its
+    arguments, then the options of that command alone."""
     ap = _Parser(
-        prog="embcom",
+        prog="embcom", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Scatterer-position channel analysis: reliability fields, "
-                    "lattice codebooks, capacity bounds, Monte Carlo validation")
+                    "lattice codebooks,\ncapacity bounds, Monte Carlo validation",
+        epilog="commands (embcom COMMAND -h lists a command's options):\n"
+               + "".join(f"  {name:<10}{line}\n"
+                         for name, (line, _) in _COMMANDS.items()))
     ap.add_argument("--config", metavar="PATH", default=None,
                     help="INI config file (defaults reproduce the reference setup)")
     ap.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
@@ -289,42 +300,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", metavar="DIR", default=None, help="output directory")
     ap.add_argument("--seed", metavar="N", type=int, default=None,
                     help="master RNG seed (overrides sim.seed)")
-    sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("field", help="dump the reliability field grid and polar profile")
-    p_cb = sub.add_parser("codebook", help="emit the hexagonal design or verify a CSV")
-    p_cb.add_argument("--verify", metavar="CSV", default=None,
-                      help="verify an imported codebook instead of designing one")
-    sub.add_parser("sweep", help="rate and L* sweeps over the configured grids")
-    sub.add_parser("bounds", help="all converse bounds per sweep point")
-    sub.add_parser("lstar", help="optimal snapshot count versus SNR")
-    p_sim = sub.add_parser("simulate", help="Monte Carlo error estimation")
-    p_sim.add_argument("--codebook", metavar="CSV", default=None,
-                       help="simulate an imported codebook")
-    p_sim.add_argument("--self-test-corrupt", action="store_true",
-                       help="corrupt the analytic bounds to exercise the "
-                            "soundness gate (must exit 2)")
-    return ap
+    # PARSER takes the command name, checked against the choices, and every
+    # argument after it, as a subparser would
+    ap.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS,
+                    help="a command listed below, then its options")
+    args, extra = ap.parse_known_args(argv)
+    name, *rest = args.command
+    cmd = _Parser(prog=f"embcom {name}")
+    for flag, kwargs in _COMMANDS[name][1]:
+        cmd.add_argument(flag, **kwargs)
+    options, cmd_extra = cmd.parse_known_args(rest)
+    if extra or cmd_extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra + cmd_extra)}")
+    return args, name, vars(options)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, command, options = _parse(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.out, args.seed)
         out = Path(cfg.get("output", "directory"))
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "field":
-            return cmd_field(cfg, out)
-        if args.command == "codebook":
-            return cmd_codebook(cfg, out, args.verify)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out)
-        if args.command == "lstar":
-            return cmd_lstar(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.codebook, args.self_test_corrupt)
-        raise ValueError(f"unknown command {args.command}")
+        # looked up by name at each call, so a wrapper bound to the module
+        # attribute (a tracer's, a test's) is the one that runs
+        return globals()[f"cmd_{command}"](cfg, out, **options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

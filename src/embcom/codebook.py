@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -440,24 +441,59 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
 
 # --- CSV export / import ------------------------------------------------------
 
-def codebook_to_csv(cb: Codebook, path, header_lines: tuple[str, ...] = ()) -> None:
+_CSV_CHUNK_ROWS = 1024  # rows formatted by one % call
+_CSV_FLOAT = "%.17g"  # any value but an integer: 17 significant digits
+
+
+def _value_format(t: type) -> str:
+    # text is written as it is; integers (bools as 0/1) print every digit,
+    # where _CSV_FLOAT would round one above 2^53
+    if issubclass(t, str):
+        return "%s"
+    return "%d" if issubclass(t, (int, np.integer)) else _CSV_FLOAT
+
+
+def _write_csv(path, header_lines, columns, rows) -> None:
+    """CSV file: '# ' header lines, the column names, then one line per row
+    of one value per column.
+
+    Text is written as it is, integers print every digit and any other value
+    prints as a float with 17 significant digits.  Rows are formatted a chunk
+    at a time, by one % over the chunk's values with each row's format picked
+    by its value types, so memory does not grow with the number of rows."""
+    row_formats = {}  # value types of a row -> its line format
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("index,y_m,z_m\n")
-        for i, p in enumerate(cb.positions):
-            fh.write(f"{i},{p.y:.17g},{p.z:.17g}\n")
+        fh.write(",".join(columns) + "\n")
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+            # each row's value types, transposed twice: no Python code per row
+            types = list(zip(*[map(type, col) for col in zip(*chunk)]))
+            for key in set(types).difference(row_formats):
+                row_formats[key] = ",".join(map(_value_format, key)) + "\n"
+            fh.write("".join(map(row_formats.__getitem__, types))
+                     % tuple(chain.from_iterable(chunk)))
+
+
+def codebook_to_csv(cb: Codebook, path, header_lines: tuple[str, ...] = ()) -> None:
+    _write_csv(path, header_lines, ("index", "y_m", "z_m"),
+               ((i, p.y, p.z) for i, p in enumerate(cb.positions)))
 
 
 def codebook_from_csv(path, array: ArrayConfig, scene: SceneConfig) -> Codebook:
     pts = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("index"):
                 continue
-            _, y, z = line.split(",")
-            pts.append((float(y), float(z)))
+            try:
+                _, y, z = line.split(",")
+                pts.append((float(y), float(z)))
+            except ValueError:
+                raise ValueError(f"{path} line {number}: expected a row "
+                                 f"index,y_m,z_m, got {line!r}") from None
     if not pts:
         raise ValueError(f"no codewords found in {path}")
     return make_codebook(pts, array, scene)
