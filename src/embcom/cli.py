@@ -105,7 +105,6 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
     if verify_path is not None:
         cb = codebook_from_csv(verify_path, array, scene)
         rep = verify_codebook(cb, eps, scene, array)
-        mode = "verify"
         greedy_j = None
     else:
         cb, rep = _configured_design(cfg)
@@ -114,17 +113,15 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
                 eps, scene, array, cfg.get("design", "greedy_grid_step_m")))
         except ValueError as exc:
             raise ValueError(f"design.greedy_grid_step_m: {exc}") from None
-        mode = "design"
         codebook_to_csv(cb, out / "codebook.csv", tuple(_header_lines(cfg)))
 
-    pts = cb.as_array()
-    gap_y, gap_z = _nn_axis_gaps(pts) if len(cb) >= 2 else (math.inf, math.inf)
+    gap_y, gap_z = _nn_axis_gaps(cb.points)
     aniso = None
     if params.alpha_y != params.alpha_z and math.isfinite(gap_y) and math.isfinite(gap_z):
         finer_y = params.alpha_y > params.alpha_z
         aniso = bool(gap_y < gap_z) if finer_y else bool(gap_z < gap_y)
     manifest = {
-        "mode": mode,
+        "mode": "design" if verify_path is None else "verify",
         "config": _config_dict(cfg),
         "j": rep.j,
         "b_min_nats": None if not math.isfinite(rep.b_min) else rep.b_min,
@@ -141,6 +138,10 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
         "verification_passed": rep.feasible,
     }
     _write_json(out / "design_manifest.json", manifest)
+    if not rep.feasible:
+        print(f"verification failed: b_min {rep.b_min:.6g} nats is below the "
+              f"threshold {rep.b_threshold:.6g} nats", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -185,13 +186,12 @@ def _subsample(cb, cap: int, seed: int):
     j = len(cb)
     if j <= cap:
         return cb
-    pts = cb.as_array()
-    keep = set(_min_pairwise_b(pts, cb.array, cb.scene)[1:])
+    keep = set(_min_pairwise_b(cb.points, cb.array, cb.scene)[1:])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0DE,)))
     rest = [i for i in range(j) if i not in keep]
     fill = rng.permutation(rest)[: cap - len(keep)]
     keep.update(int(i) for i in fill)
-    return make_codebook(pts[sorted(keep)], cb.array, cb.scene)
+    return make_codebook(cb.points[sorted(keep)], cb.array, cb.scene)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
@@ -230,18 +230,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
         "pairwise_empirical": [list(r) for r in report.pairwise_empirical],
         "pairwise_bound": [list(r) for r in report.pairwise_bound],
         "pairwise_halfwidth": [list(r) for r in report.pairwise_halfwidth],
-        "codewords": [[p.y, p.z] for p in cb.positions],
+        "codewords": cb.points.tolist(),
         "bound_violations": report.bound_violations(),
     }
     _write_json(out / "sim_report.json", payload)
-    rows = []
-    for i in range(j):
-        for k in range(j):
-            if i == k:
-                continue
-            rows.append((i, k, report.pairwise_empirical[i][k],
-                         report.pairwise_bound[i][k],
-                         report.pairwise_halfwidth[i][k]))
+    rows = [(i, k, report.pairwise_empirical[i][k], report.pairwise_bound[i][k],
+             report.pairwise_halfwidth[i][k])
+            for i in range(j) for k in range(j) if i != k]
     _write_csv(out / "sim_pairwise.csv", _header_lines(cfg),
                ["i", "j", "empirical_rate", "bhatt_bound", "halfwidth"], rows)
     if payload["bound_violations"]:

@@ -1,6 +1,6 @@
-"""Position codebooks: lattice truncation, exact reliability verification,
-the whitened hexagonal design with Lambert-W sizing, and a greedy packing
-baseline."""
+"""Codebooks of in-plane positions: lattice truncation, exact reliability
+verification, the whitened hexagonal design with Lambert-W sizing, and a
+greedy packing baseline."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arrays import ArrayConfig, Position, SceneConfig, position_in_plane
+from .arrays import ArrayConfig, SceneConfig
 from .field import (_exponent, axis_kernel, b_codebook, bhattacharyya_grid,
                     field_ceiling, quadratic_params)
 
@@ -46,25 +46,22 @@ class LatticeGenerator:
         return self.g[0][0] * self.g[1][1] - self.g[0][1] * self.g[1][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """In-plane scatterer positions with the array and scene they belong to."""
+    """In-plane scatterer positions, a read-only (J, 2) array of (y, z) in
+    meters, with the array and scene they belong to; compares by identity."""
 
-    positions: tuple[Position, ...]
+    points: np.ndarray
     array: ArrayConfig
     scene: SceneConfig
 
     def __len__(self) -> int:
-        return len(self.positions)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[p.y, p.z] for p in self.positions],
-                        dtype=float).reshape(-1, 2)
+        return len(self.points)
 
     @property
     def min_pairwise_b(self) -> float:
         """Worst-pair exponent of the exact field at this codebook's scene."""
-        return _min_pairwise_b(self.as_array(), self.array, self.scene)[0]
+        return _min_pairwise_b(self.points, self.array, self.scene)[0]
 
 
 @dataclass(frozen=True)
@@ -110,15 +107,19 @@ def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
     return best
 
 
-def make_codebook(positions, array: ArrayConfig, scene: SceneConfig) -> Codebook:
-    """Build a codebook, checking plane membership only; verify_codebook is
-    the exact reliability check."""
-    pos = tuple(Position(float(p[0]), float(p[1])) if not isinstance(p, Position)
-                else p for p in positions)
-    for p in pos:
-        if not position_in_plane(p, scene, tol=1e-9):
-            raise ValueError(f"codeword ({p.y}, {p.z}) lies outside the plane")
-    return Codebook(pos, array, scene)
+def make_codebook(points, array: ArrayConfig, scene: SceneConfig) -> Codebook:
+    """Build a codebook from J rows (y, z), checking plane membership only;
+    verify_codebook is the exact reliability check."""
+    pts = np.array(points if len(points) else np.empty((0, 2)), dtype=float,
+                   order="C")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"codewords must be J rows (y, z), got shape {pts.shape}")
+    inside = np.abs(pts) <= np.array([scene.extent_y / 2, scene.extent_z / 2]) + 1e-9
+    if not inside.all():  # NaN and inf are outside too
+        y, z = pts[~inside.all(axis=1)][0].tolist()
+        raise ValueError(f"codeword ({y}, {z}) lies outside the plane")
+    pts.flags.writeable = False
+    return Codebook(pts, array, scene)
 
 
 def _lattice_points_in_box(gen: np.ndarray, offset: np.ndarray, half_y: float,
@@ -163,8 +164,7 @@ def verify_codebook(cb: Codebook, eps: float, scene: SceneConfig,
     l, tp = scene.snapshots_l, scene.pulse_duration_tp
     if j < 2:
         return DesignReport(j, 0.0, 0.0, True, math.inf, math.inf, 0.0)
-    pts = cb.as_array()
-    b_min = _min_pairwise_b(pts, array, scene)[0]
+    b_min = _min_pairwise_b(cb.points, array, scene)[0]
     thr = b_codebook(j, eps, l)
     slack = b_min - thr
     rate_pulse = math.log2(j) / l
@@ -478,7 +478,7 @@ def _write_csv(path, header_lines, columns, rows) -> None:
 
 def codebook_to_csv(cb: Codebook, path, header_lines: tuple[str, ...] = ()) -> None:
     _write_csv(path, header_lines, ("index", "y_m", "z_m"),
-               ((i, p.y, p.z) for i, p in enumerate(cb.positions)))
+               ((i, y, z) for i, (y, z) in enumerate(cb.points.tolist())))
 
 
 def codebook_from_csv(path, array: ArrayConfig, scene: SceneConfig) -> Codebook:
@@ -489,11 +489,14 @@ def codebook_from_csv(path, array: ArrayConfig, scene: SceneConfig) -> Codebook:
             if not line or line.startswith("#") or line.startswith("index"):
                 continue
             try:
-                _, y, z = line.split(",")
+                index, y, z = line.split(",")
                 pts.append((float(y), float(z)))
             except ValueError:
                 raise ValueError(f"{path} line {number}: expected a row "
                                  f"index,y_m,z_m, got {line!r}") from None
+            if index.strip() != str(len(pts) - 1):  # rows are numbered 0, 1, ...
+                raise ValueError(f"{path} line {number}: expected index "
+                                 f"{len(pts) - 1}, got {line!r}")
     if not pts:
         raise ValueError(f"no codewords found in {path}")
     return make_codebook(pts, array, scene)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SceneConfig, steering_matrix, steering_vector
+from .arrays import ArrayConfig, SceneConfig, steering_matrix
 from .codebook import Codebook
 from .field import bhattacharyya_grid
 
@@ -61,7 +61,7 @@ def draw_channel_use(cb: Codebook, j: int, rng_seed: int, scene: SceneConfig,
     determined by (rng_seed, j, trial)."""
     if not 0 <= j < len(cb):
         raise ValueError(f"codeword index {j} out of range for J={len(cb)}")
-    a = steering_vector(cb.positions[j], array, scene)
+    a = steering_matrix(*cb.points[j], array, scene)
     rng = _rng_for(rng_seed, j, trial)
     y = _draw(rng, a, array.m_total, scene.snapshots_l,
               scene.echo_power_rho2, scene.noise_var_sigma2)
@@ -101,7 +101,7 @@ def ml_decode(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     Ties resolve to the lowest index."""
     if len(cb) < 1:
         raise ValueError("codebook is empty")
-    a_conj = steering_matrix(*cb.as_array().T, array, scene).conj()
+    a_conj = steering_matrix(*cb.points.T, array, scene).conj()
     return int(np.argmax(_energy_statistics(a_conj @ batch.y_matrix)))
 
 
@@ -117,7 +117,7 @@ def ml_decode_loglik(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     s2, g0 = scene.noise_var_sigma2, scene.snr_gamma0
     yyh = batch.y_matrix @ batch.y_matrix.conj().T
     costs = []
-    for a in steering_matrix(*cb.as_array().T, array, scene):
+    for a in steering_matrix(*cb.points.T, array, scene):
         r = s2 * (np.eye(m) + g0 * np.outer(a, a.conj()))
         sign, logdet = np.linalg.slogdet(r)
         costs.append(l * logdet + np.trace(np.linalg.solve(r, yyh)).real)
@@ -192,7 +192,7 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     if j < 1:
         raise ValueError("codebook is empty")
     l = scene.snapshots_l
-    pts = cb.as_array()
+    pts = cb.points
     a_mat = steering_matrix(*pts.T, array, scene)
     gram = np.einsum("jm,km->jk", a_mat.conj(), a_mat)
     # the draws' scale sqrt(variance / 2) per part is folded into the factors

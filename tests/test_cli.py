@@ -218,6 +218,30 @@ def test_imported_nan_codeword_rejected(tmp_path, capsys):
     assert not (tmp_path / "sim_report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_imported_infinite_codeword_rejected(tmp_path, capsys, value):
+    csv = tmp_path / "inf.csv"
+    csv.write_text(f"index,y_m,z_m\n0,0.0,0.0\n1,0.0,{value}\n")
+    assert run(tmp_path, "codebook", "--verify", str(csv)) == 1
+    assert run(tmp_path, *SMALL_SIM, "simulate", "--codebook", str(csv)) == 1
+    assert capsys.readouterr().err.count(
+        f"codeword (0.0, {value}) lies outside") == 2
+    assert not (tmp_path / "design_manifest.json").exists()
+    assert not (tmp_path / "sim_report.json").exists()
+
+
+def test_failed_verification_exits_2_with_a_manifest(tmp_path, capsys):
+    # two coincident codewords cannot be told apart: b_min is 0
+    csv = tmp_path / "twice.csv"
+    csv.write_text("index,y_m,z_m\n0,0.1,0.2\n1,0.1,0.2\n")
+    assert run(tmp_path, "codebook", "--verify", str(csv)) == 2
+    manifest = json.loads((tmp_path / "design_manifest.json").read_text())
+    assert manifest["verification_passed"] is False
+    assert manifest["b_min_nats"] == 0.0
+    assert "verification failed: b_min 0 nats is below the threshold" in \
+        capsys.readouterr().err
+
+
 def test_simulate_gate_and_negative_control(tmp_path):
     assert run(tmp_path, *SMALL_SIM, "--seed", "5", "simulate") == 0
     rep = json.loads((tmp_path / "sim_report.json").read_text())
@@ -275,7 +299,7 @@ def test_simulate_cap_two_keeps_worst_pair(tmp_path):
     cfg = load_config(None, CAP_OVERRIDES)
     cb, _ = hexagonal_design(cfg.eps, cfg.scene, cfg.array)
     assert len(cb) > 2
-    pts = cb.as_array()
+    pts = cb.points
     _, i, k = _min_pairwise_b(pts, cfg.array, cfg.scene)
     assert run(tmp_path, *CAP_SIM, "--set", "sim.max_codewords=2",
                "simulate") == 0

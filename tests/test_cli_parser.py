@@ -102,12 +102,29 @@ def test_each_call_builds_two_parsers_of_its_own(tmp_path, monkeypatch):
     assert len({id(p) for p in built}) == len(built)
 
 
-def test_module_entry_point_runs():
+def _run_python(*args):
+    """A fresh interpreter that imports embcom from this checkout."""
     src = Path(embcom.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "embcom.cli", "-h"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs():
+    proc = _run_python("-m", "embcom.cli", "-h")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: embcom")
     assert all(name in proc.stdout for name in COMMANDS)
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_embcom():
+    # a fresh interpreter's import of the CLI is the start-up cost of every
+    # command; a third-party import there (scipy, say) would add to it
+    proc = _run_python("-c", "import sys; before = set(sys.modules); "
+                       "import embcom.cli; print(*sorted({m.split('.')[0] "
+                       "for m in set(sys.modules) - before}))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "embcom"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "embcom"}

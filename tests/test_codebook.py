@@ -24,7 +24,7 @@ NULL_B_G10 = 1.1856236656577395
 def test_truncate_unit_grid(ref_array, ref_scene):
     gen = LatticeGenerator.from_matrix(np.eye(2))
     cb = truncate_lattice(gen, ref_scene, ref_array)
-    got = sorted((p.y, p.z) for p in cb.positions)
+    got = sorted(map(tuple, cb.points.tolist()))
     expect = sorted((float(y), float(z)) for y in (-1, 0, 1) for z in (-1, 0, 1))
     assert got == expect  # boundary points retained: closed plane
 
@@ -33,7 +33,7 @@ def test_truncate_coarse_lattice_keeps_origin(ref_array, ref_scene):
     gen = LatticeGenerator.from_matrix(10.0 * np.eye(2))
     cb = truncate_lattice(gen, ref_scene, ref_array)
     assert len(cb) == 1
-    assert cb.positions[0].y == 0.0
+    assert cb.points[0, 0] == 0.0
 
 
 def test_truncate_count_tracks_cell_area(ref_array, ref_scene):
@@ -61,7 +61,7 @@ def test_truncate_matches_bruteforce_box(ref_array, ref_scene):
             p = g @ (k1, k2)
             if abs(p[0]) <= 1.0 + 1e-9 and abs(p[1]) <= 1.0 + 1e-9:
                 pts.add((round(p[0], 9), round(p[1], 9)))
-    got = {(round(p.y, 9), round(p.z, 9)) for p in cb.positions}
+    got = {(round(y, 9), round(z, 9)) for y, z in cb.points.tolist()}
     assert got == pts
 
 
@@ -100,7 +100,7 @@ def test_verify_singleton_trivial(ref_array, ref_scene):
 
 def test_empty_codebook_is_a_zero_row_matrix(ref_array, ref_scene):
     cb = make_codebook([], ref_array, ref_scene)
-    assert cb.as_array().shape == (0, 2)
+    assert cb.points.shape == (0, 2)
     rep = verify_codebook(cb, 1e-3, ref_scene, ref_array)
     assert rep.j == 0 and rep.feasible and rep.rate_bits_per_pulse == 0.0
 
@@ -108,6 +108,31 @@ def test_empty_codebook_is_a_zero_row_matrix(ref_array, ref_scene):
 def test_codeword_outside_plane_rejected(ref_array, ref_scene):
     with pytest.raises(ValueError):
         make_codebook([(1.5, 0.0)], ref_array, ref_scene)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.1, 0.2, 0.3), (0.5, 0.5, 9.0)],  # not two (y, z) of three rows
+    [(0.1,), (0.2,)],
+    [(0.1, 0.2), (0.3,)],
+    [0.1, 0.2],
+])
+def test_codewords_must_be_rows_of_two(ref_array, ref_scene, rows):
+    with pytest.raises(ValueError):
+        make_codebook(rows, ref_array, ref_scene)
+
+
+def test_points_are_a_read_only_copy(ref_array, ref_scene):
+    rows = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    cb = make_codebook(rows, ref_array, ref_scene)
+    assert cb.points.dtype == float and cb.points.shape == (2, 2)
+    assert cb.points.flags.c_contiguous
+    with pytest.raises(ValueError):
+        cb.points[0, 0] = 0.5
+    rows[0, 0] = 0.5  # the caller's array is not the codebook's
+    assert cb.points.tolist() == [[0.1, 0.2], [-0.3, 0.4]]
+    # C order whatever the input's layout
+    transposed = make_codebook(rows.T.copy().T, ref_array, ref_scene)
+    assert transposed.points.flags.c_contiguous
 
 
 def test_verify_is_the_only_pair_scan(monkeypatch, ref_array, ref_scene):
@@ -169,7 +194,7 @@ def test_scan_keeps_first_of_tied_pairs(monkeypatch, ref_array, ref_scene,
                                         pairs_per_call):
     monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
     pts = truncate_lattice(LatticeGenerator.from_matrix(0.25 * np.eye(2)),
-                           ref_scene, ref_array).as_array()
+                           ref_scene, ref_array).points
     got = codebook._min_pairwise_b(pts, ref_array, ref_scene)
     assert got == _first_min_pair(pts, ref_array, ref_scene)
     # the minimum is tied across many pairs, in more than one block
@@ -206,7 +231,7 @@ def test_scan_matches_bruteforce_on_hex_lattice(ref_array, ref_scene, rotation,
     # rotated and offset, its coordinates are nearly all distinct
     sc = ref_scene.with_snr(db_to_linear(35.0)).with_snapshots(20)
     cb, rep = hexagonal_design(1e-3, sc, ref_array, rotation, offset_w)
-    pts = cb.as_array()
+    pts = cb.points
     assert rep.j > 250
     assert codebook._min_pairwise_b(pts, ref_array, sc) == \
         _first_min_pair(pts, ref_array, sc)
@@ -217,11 +242,11 @@ def test_scan_matches_bruteforce_after_csv_roundtrip(tmp_path, ref_array,
     sc = ref_scene.with_snr(db_to_linear(40.0)).with_snapshots(20)
     cb, rep = hexagonal_design(1e-3, sc, ref_array)
     codebook_to_csv(cb, tmp_path / "cb.csv")
-    pts = codebook_from_csv(tmp_path / "cb.csv", ref_array, sc).as_array()
+    pts = codebook_from_csv(tmp_path / "cb.csv", ref_array, sc).points
     assert rep.j > 900
     assert codebook._min_pairwise_b(pts, ref_array, sc) == \
         _first_min_pair(pts, ref_array, sc) == \
-        codebook._min_pairwise_b(cb.as_array(), ref_array, sc)
+        codebook._min_pairwise_b(cb.points, ref_array, sc)
 
 
 def test_scan_evaluates_few_kernel_elements_on_a_lattice(call_log, ref_array,
@@ -231,7 +256,7 @@ def test_scan_evaluates_few_kernel_elements_on_a_lattice(call_log, ref_array,
     cb, rep = hexagonal_design(1e-3, sc, ref_array)
     assert rep.j == 2163
     tables = call_log(field, "_dirichlet_sq")
-    codebook._min_pairwise_b(cb.as_array(), ref_array, sc)
+    codebook._min_pairwise_b(cb.points, ref_array, sc)
     assert sum(np.size(args[0]) for args in tables) < 2163 * 2162 / 2 / 4
 
 
@@ -301,7 +326,7 @@ def test_lambert_w_matches_fixed_point_on_design_grid(monkeypatch):
 
 
 def _whitened_min_distance(cb, params):
-    pts = cb.as_array() @ params.transform_t.T
+    pts = cb.points @ params.transform_t.T
     n = len(pts)
     best = math.inf
     for i in range(n):
@@ -433,7 +458,7 @@ def test_hex_density_follows_resolution(ref_scene):
     sc = SceneConfig(100.0, 2.0, 2.0, 100.0, 1.0, 20, 1.0)
     cb, rep = hexagonal_design(1e-3, sc, arr)
     assert rep.j >= 5
-    pts = cb.as_array()
+    pts = cb.points
     ys = np.unique(np.round(pts[:, 0], 9))
     zs = np.unique(np.round(pts[:, 1], 9))
     assert len(ys) >= 2 and len(zs) >= 2
@@ -450,7 +475,7 @@ def test_hex_rotation_offset_configurable(ref_array, ref_scene):
     cb1, rep1 = hexagonal_design(1e-3, sc, ref_array, rotation=0.3,
                                  offset_w=(0.1, 0.05))
     assert rep1.feasible
-    assert {(p.y, p.z) for p in cb0.positions} != {(p.y, p.z) for p in cb1.positions}
+    assert set(map(tuple, cb0.points.tolist())) != set(map(tuple, cb1.points.tolist()))
 
 
 # --- greedy baseline --------------------------------------------------------------
@@ -513,7 +538,7 @@ def test_greedy_prefix_trim_matches_reference(ref_array, ref_scene, snr_db, l, s
     sc = ref_scene.with_snr(10.0 ** (snr_db / 10.0)).with_snapshots(l)
     cb = greedy_packing_baseline(1e-3, sc, ref_array, step)
     ref = greedy_reference(1e-3, sc, ref_array, step)
-    assert cb.positions == ref.positions
+    assert np.array_equal(cb.points, ref.points)
     assert len(cb) >= 2
 
 
@@ -527,7 +552,7 @@ def test_greedy_incremental_scan_matches_reference(ref_array, ref_scene, snr_db,
                  extent_y=extent[0], extent_z=extent[1])
     cb = greedy_packing_baseline(1e-3, sc, ref_array, step)
     ref, _ = greedy_scan_reference(1e-3, sc, ref_array, step)
-    assert cb.positions == ref.positions
+    assert np.array_equal(cb.points, ref.points)
     assert len(cb) >= 2
 
 
@@ -605,7 +630,7 @@ def test_codebook_csv_roundtrip(tmp_path, ref_array, ref_scene):
     path = tmp_path / "cb.csv"
     codebook_to_csv(cb, path, ("demo = 1",))
     back = codebook_from_csv(path, ref_array, sc)
-    assert [(p.y, p.z) for p in back.positions] == [(p.y, p.z) for p in cb.positions]
+    assert np.array_equal(back.points, cb.points)
     assert back.min_pairwise_b == pytest.approx(cb.min_pairwise_b, rel=1e-15)
     empty = tmp_path / "empty.csv"
     empty.write_text("index,y_m,z_m\n")

@@ -118,11 +118,31 @@ def test_bad_imported_row_is_named_by_file_and_line(tmp_path, capsys, row):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("rows,line", [
+    (["x,0.1,0.2", "x,0.1,0.2"], 3),  # text
+    (["0,0.1,0.2", "0,0.3,0.4"], 4),  # a repeat
+    (["0,0.1,0.2", "2,0.3,0.4"], 4),  # a gap
+    (["1,0.1,0.2", "0,0.3,0.4"], 3),  # out of order
+])
+def test_imported_rows_are_numbered_from_0(tmp_path, capsys, rows, line):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("# made by hand\nindex,y_m,z_m\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "codebook", "--verify", str(csv)]) == 1
+    assert main(["--out", str(out), "--set", "scene.snr_db=20",
+                 "simulate", "--codebook", str(csv)]) == 1
+    row = rows[line - 3]
+    err = capsys.readouterr().err
+    assert err.count(f"error: {csv} line {line}: expected index {line - 3}, "
+                     f"got {row!r}\n") == 2
+    assert list(out.iterdir()) == []
+
+
 def test_codebook_csv_round_trip_keeps_every_bit(tmp_path, ref_array, ref_scene):
     pts = np.array([[0.1, -1 / 3], [-0.9999999999999999, 5e-324], [0.0, -0.0]])
     cb = codebook.make_codebook(pts, ref_array, ref_scene)
     path = tmp_path / "cb.csv"
     codebook.codebook_to_csv(cb, path, ("demo = 1",))
     assert path.read_text().startswith("# demo = 1\nindex,y_m,z_m\n0,")
-    back = codebook.codebook_from_csv(path, ref_array, ref_scene).as_array()
+    back = codebook.codebook_from_csv(path, ref_array, ref_scene).points
     assert back.tobytes() == pts.tobytes()

@@ -58,8 +58,8 @@ def test_column_covariance_matches_model():
         cols.append(draw_channel_use(cb, 0, 9, sc, arr, trial=t).y_matrix)
     y = np.concatenate(cols, axis=1)
     emp = (y @ y.conj().T) / y.shape[1]
-    from embcom.arrays import steering_vector
-    a = steering_vector(cb.positions[0], arr, sc)
+    from embcom.arrays import Position, steering_vector
+    a = steering_vector(Position(*cb.points[0]), arr, sc)
     model = sc.noise_var_sigma2 * (np.eye(arr.m_total)
                                    + sc.snr_gamma0 * np.outer(a, a.conj()))
     rel = np.linalg.norm(emp - model) / np.linalg.norm(model)
@@ -186,7 +186,7 @@ def test_binary_converse_floor(ref_array, ref_scene):
 
 
 def _gram(cb, array, scene):
-    a = steering_matrix(*cb.as_array().T, array, scene)
+    a = steering_matrix(*cb.points.T, array, scene)
     return np.einsum("jm,km->jk", a.conj(), a)
 
 
@@ -224,7 +224,7 @@ def test_gram_factor_reproduces_gram(ref_array, ref_scene, small_array):
 def full_synthesis_confusion(cb, trials, seed, scene, array):
     """Reference: draw every trial's full M x L snapshot and pick the codeword
     with the most matched-filter energy sum_l |a_j^H y_l|^2."""
-    a_conj = steering_matrix(*cb.as_array().T, array, scene).conj()
+    a_conj = steering_matrix(*cb.points.T, array, scene).conj()
     j = len(cb)
     confusion = np.zeros((j, j), dtype=np.int64)
     for i in range(j):
