@@ -9,17 +9,15 @@ that validates every analytic bound.
 """
 
 from .arrays import (ArrayConfig, Displacement, Position, SceneConfig,
-                     position_to_angles, steering_correlation_exact,
-                     steering_vector)
-from .bounds import (binary_entropy, geo_bound, geo_bound_mainlobe,
-                     info_bound_support, info_bound_universal, optimal_snapshots)
-from .codebook import (Codebook, DesignReport, LatticeGenerator,
-                       greedy_packing_baseline, hexagonal_design, lambert_w0,
-                       make_codebook, truncate_lattice, verify_codebook)
-from .field import (QuadraticFieldParams, b_codebook, b_necessary, b_required,
+                     steering_correlation_exact, steering_vector)
+from .bounds import (binary_entropy, geo_bound_mainlobe, info_bound_universal,
+                     optimal_snapshots)
+from .codebook import (Codebook, DesignReport, greedy_packing_baseline,
+                       hexagonal_design, lambert_w0, make_codebook,
+                       verify_codebook)
+from .field import (QuadraticFieldParams, b_codebook, b_necessary,
                     bhattacharyya_exact, bhattacharyya_quadratic,
-                    forbidden_region_contains, necessary_separation_dnec,
-                    pairwise_error_bound, quadratic_params)
+                    necessary_separation_dnec, quadratic_params)
 from .simulate import (SimReport, SnapshotBatch, draw_channel_use,
                        estimate_errors, ml_decode)
 from .sweep import bound_sweep, lstar_sweep, rate_sweep

@@ -1,5 +1,5 @@
-"""UPA geometry, far-field position/angle mapping, steering vectors, and the
-closed-form steering correlation kernel."""
+"""UPA geometry, steering vectors under the far-field small-angle map, and
+the closed-form steering correlation kernel."""
 
 from __future__ import annotations
 
@@ -96,26 +96,10 @@ class Displacement:
     def __neg__(self) -> "Displacement":
         return Displacement(-self.dy, -self.dz)
 
-    @property
-    def norm(self) -> float:
-        return float(np.hypot(self.dy, self.dz))
-
 
 def position_in_plane(r: Position, scene: SceneConfig, tol: float = 1e-12) -> bool:
     return (abs(r.y) <= scene.extent_y / 2 + tol
             and abs(r.z) <= scene.extent_z / 2 + tol)
-
-
-def position_to_angles(r: Position, scene: SceneConfig) -> tuple[float, float]:
-    """Small-angle map (y, z) -> (theta, phi) = (y/D, z/D) in radians.
-
-    Raises ValueError for positions outside the controllable plane.
-    """
-    if not position_in_plane(r, scene):
-        raise ValueError(
-            f"position ({r.y}, {r.z}) lies outside the "
-            f"{scene.extent_y} x {scene.extent_z} m plane")
-    return r.y / scene.distance_d, r.z / scene.distance_d
 
 
 def steering_matrix(y, z, array: ArrayConfig, scene: SceneConfig) -> np.ndarray:
@@ -181,16 +165,3 @@ def _warn(message: str) -> None:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def gamma0_from_link_budget(transmit_energy: float, illumination_gain: float,
-                            rcs: float, wavelength: float, distance_d: float,
-                            noise_var_sigma2: float) -> float:
-    """Per-snapshot echo SNR from free-space radar link-budget primitives.
-
-    rho = sqrt(E_t * G_illum) * lambda * sqrt(rcs) / ((4 pi)^(3/2) D^2) and
-    gamma0 = rho^2 / sigma^2.
-    """
-    rho = (np.sqrt(transmit_energy * illumination_gain)
-           * wavelength * np.sqrt(rcs) / ((4 * np.pi) ** 1.5 * distance_d ** 2))
-    return float(rho * rho / noise_var_sigma2)

@@ -10,13 +10,13 @@ import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig, _warn, steering_matrix
 from .codebook import _hexagonal_size_cont, hexagonal_design, xi_h_factor
-from .field import dnec_mainlobe, necessary_separation_dnec
+from .field import dnec_mainlobe
 
 __all__ = [
     "binary_entropy", "fano_bound", "snap_info_universal", "snap_info_support",
-    "info_bound_universal", "info_bound_support", "packing_rate", "geo_bound",
-    "geo_bound_mainlobe", "stationary_snapshots", "optimal_snapshots",
-    "closed_form_rate",
+    "info_bound_universal", "support_grid_atoms", "packing_count",
+    "packing_rate", "geo_bound_mainlobe", "stationary_snapshots",
+    "optimal_snapshots", "closed_form_rate",
 ]
 
 
@@ -149,17 +149,6 @@ def snap_info_support(scene: SceneConfig, array: ArrayConfig, grid_n: int = 41,
     return nats / math.log(2) - math.log2(1.0 + scene.snr_gamma0)
 
 
-def info_bound_support(eps: float, scene: SceneConfig, array: ArrayConfig,
-                       grid_n: int = 41, fw_iters: int = 400,
-                       gap_tol_bits: float = 1e-6) -> float:
-    """Fano converse with the grid-restricted support-constrained
-    per-snapshot value of snap_info_support."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-    return fano_bound(snap_info_support(scene, array, grid_n, fw_iters,
-                                        gap_tol_bits), eps, scene)
-
-
 # --- geometric packing bound ---------------------------------------------------
 
 def packing_count(extent_y: float, extent_z: float, d_nec: float) -> float:
@@ -175,22 +164,6 @@ def packing_rate(d_nec: float, scene: SceneConfig) -> float:
         return 0.0
     j_max = packing_count(scene.extent_y, scene.extent_z, float(d_nec))
     return math.log2(j_max) / (scene.snapshots_l * scene.pulse_duration_tp)
-
-
-def geo_bound(eps: float, scene: SceneConfig, array: ArrayConfig,
-              n_rays: int = 720, tol: float = 1e-5) -> float:
-    """Disk-packing converse with J_max from the necessary Euclidean
-    separation.  When no in-plane displacement reaches the necessary
-    threshold the separation is unbounded, no two codewords can coexist, and
-    the bound is 0 bits."""
-    if not 0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-    d_nec = necessary_separation_dnec(eps, scene.snapshots_l, array, scene,
-                                      n_rays=n_rays, tol=tol)
-    if not math.isfinite(d_nec):
-        _warn("necessary separation exceeds the plane diameter; only a single "
-              "codeword is admissible")
-    return packing_rate(d_nec, scene)
 
 
 def geo_bound_mainlobe(eps: float, scene: SceneConfig, array: ArrayConfig) -> float:

@@ -1,6 +1,6 @@
-"""Codebooks of in-plane positions: lattice truncation, exact reliability
-verification, the whitened hexagonal design with Lambert-W sizing, and a
-greedy packing baseline."""
+"""Codebooks of in-plane positions: exact reliability verification, the
+whitened hexagonal design with Lambert-W sizing, and a greedy packing
+baseline."""
 
 from __future__ import annotations
 
@@ -15,35 +15,10 @@ from .field import (_exponent, axis_kernel, b_codebook, bhattacharyya_grid,
                     field_ceiling, quadratic_params)
 
 __all__ = [
-    "LatticeGenerator", "Codebook", "DesignReport", "make_codebook",
-    "truncate_lattice", "verify_codebook", "hexagonal_design", "lambert_w0",
-    "greedy_packing_baseline", "xi_factor", "xi_h_factor", "hexagonal_size",
-    "hexagonal_size_fixed_point", "codebook_to_csv", "codebook_from_csv",
+    "Codebook", "DesignReport", "make_codebook", "verify_codebook",
+    "hexagonal_design", "lambert_w0", "greedy_packing_baseline", "xi_h_factor",
+    "hexagonal_size", "codebook_to_csv", "codebook_from_csv",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeGenerator:
-    """Full-rank 2x2 generator; columns are the basis vectors in meters."""
-
-    g: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        if abs(self.det) <= 1e-300:
-            raise ValueError("lattice generator is rank deficient")
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "LatticeGenerator":
-        m = np.asarray(m, dtype=float)
-        return cls(((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1])))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.g, dtype=float)
-
-    @property
-    def det(self) -> float:
-        return self.g[0][0] * self.g[1][1] - self.g[0][1] * self.g[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,16 +118,6 @@ def _lattice_points_in_box(gen: np.ndarray, offset: np.ndarray, half_y: float,
     return pts[order]
 
 
-def truncate_lattice(gen: LatticeGenerator, scene: SceneConfig,
-                     array: ArrayConfig) -> Codebook:
-    """Retain every lattice point inside the closed agent plane (boundary
-    included).  The count approximates extent_y*extent_z/|det g| for fine
-    lattices; the enumeration itself is exact."""
-    pts = _lattice_points_in_box(gen.matrix, np.zeros(2),
-                                 scene.extent_y / 2, scene.extent_z / 2)
-    return make_codebook(pts, array, scene)
-
-
 def verify_codebook(cb: Codebook, eps: float, scene: SceneConfig,
                     array: ArrayConfig) -> DesignReport:
     """Exact reliability check: recompute the worst pairwise exponent from the
@@ -204,18 +169,15 @@ def lambert_w0(x: float) -> float:
 
 # --- whitened hexagonal design ----------------------------------------------
 
-def xi_factor(scene: SceneConfig, array: ArrayConfig) -> float:
-    """Whitened plane area: pi^2 a_y a_z g^2 sqrt((M_y^2-1)(M_z^2-1))
-    / (48 D^2 (1+g)); equals extent_y*extent_z*sqrt(det G_B)."""
+def xi_h_factor(scene: SceneConfig, array: ArrayConfig) -> float:
+    """Hexagonal-cell normalization 2 Xi / sqrt(3) of the whitened plane area
+    Xi = pi^2 a_y a_z g^2 sqrt((M_y^2-1)(M_z^2-1)) / (48 D^2 (1+g)), which
+    equals extent_y*extent_z*sqrt(det G_B)."""
     g = scene.snr_gamma0
     my2, mz2 = array.m_y ** 2 - 1, array.m_z ** 2 - 1
-    return (np.pi ** 2 * scene.extent_y * scene.extent_z * g * g
-            * math.sqrt(my2 * mz2) / (48.0 * scene.distance_d ** 2 * (1.0 + g)))
-
-
-def xi_h_factor(scene: SceneConfig, array: ArrayConfig) -> float:
-    """Hexagonal-cell normalization 2 Xi / sqrt(3)."""
-    return 2.0 * xi_factor(scene, array) / math.sqrt(3.0)
+    xi = (np.pi ** 2 * scene.extent_y * scene.extent_z * g * g
+          * math.sqrt(my2 * mz2) / (48.0 * scene.distance_d ** 2 * (1.0 + g)))
+    return 2.0 * xi / math.sqrt(3.0)
 
 
 def _hexagonal_size_cont(eps: float, l: int, scene: SceneConfig,
@@ -228,26 +190,6 @@ def hexagonal_size(eps: float, l: int, scene: SceneConfig,
                    array: ArrayConfig) -> int:
     """Closed-form codebook size floor(Xi_h L / W0(Xi_h L / eps))."""
     return int(math.floor(_hexagonal_size_cont(eps, l, scene, array)))
-
-
-def hexagonal_size_fixed_point(eps: float, l: int, scene: SceneConfig,
-                               array: ArrayConfig) -> float:
-    """Size by iterating J <- Xi_h L / log(J/eps); solves the same equation as
-    the Lambert-W closed form and is the tests' cross-check of it.
-
-    Starts at J = 2 and stops after 500 iterations.  Iterates are clamped
-    above eps*e where the map is defined and bounded; below that the design
-    is degenerate (under one codeword) anyway.
-    """
-    xl = xi_h_factor(scene, array) * l
-    floor = eps * math.e
-    j = max(2.0, floor)
-    for _ in range(500):
-        j_next = max(xl / math.log(j / eps), floor)
-        if abs(j_next - j) <= 1e-12 * max(1.0, abs(j_next)):
-            return j_next
-        j = j_next
-    return j
 
 
 _TREE_LEVELS = 8  # bisection levels per field call: 2^8 - 1 midpoints

@@ -1,6 +1,6 @@
 """Sensing-induced reliability field: the pairwise error exponent as a
 function of physical displacement, its quadratic main-lobe surrogate, the
-reliability thresholds, and the forbidden/necessary regions."""
+codebook and necessary thresholds, and the necessary separation."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ from .arrays import (ArrayConfig, Displacement, SceneConfig, _dirichlet_sq,
                      _warn, steering_correlation_grid)
 
 __all__ = [
-    "Displacement", "QuadraticFieldParams", "bhattacharyya_exact",
-    "bhattacharyya_grid", "pairwise_error_bound", "quadratic_params",
-    "bhattacharyya_quadratic", "forbidden_region_contains",
-    "necessary_separation_dnec", "necessary_separations", "b_required",
-    "b_codebook", "b_necessary", "field_ceiling", "axis_kernel",
+    "QuadraticFieldParams", "bhattacharyya_exact", "bhattacharyya_grid",
+    "quadratic_params", "bhattacharyya_quadratic",
+    "bhattacharyya_quadratic_grid", "necessary_separation_dnec",
+    "necessary_separations", "dnec_mainlobe", "b_codebook", "b_necessary",
+    "field_ceiling", "axis_kernel",
 ]
 
 
@@ -79,24 +79,7 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[new], inverse
 
 
-def pairwise_error_bound(delta: Displacement, l: int, array: ArrayConfig,
-                         scene: SceneConfig) -> float:
-    """Upper bound exp(-L * B(delta)) on the error of confusing two positions
-    from L independent snapshots."""
-    if l < 1:
-        raise ValueError(f"snapshot count must be >= 1, got {l}")
-    return float(np.exp(-l * bhattacharyya_exact(delta, array, scene)))
-
-
 # --- reliability thresholds (nats) -----------------------------------------
-
-def b_required(eps_pairwise: float, l: int) -> float:
-    """Single-snapshot exponent sufficient for a target pairwise error:
-    log(1/eps_p) / L."""
-    if not 0 < eps_pairwise < 1:
-        raise ValueError(f"pairwise error target must be in (0,1), got {eps_pairwise}")
-    return float(np.log(1.0 / eps_pairwise) / l)
-
 
 def b_codebook(j: int, eps: float, l: int) -> float:
     """Codebook-level threshold log((J-1)/eps) / L for a J-word codebook."""
@@ -167,13 +150,6 @@ def bhattacharyya_quadratic_grid(dy: np.ndarray, dz: np.ndarray,
                                  params: QuadraticFieldParams) -> np.ndarray:
     return params.kappa * (params.alpha_y * np.asarray(dy) ** 2
                            + params.alpha_z * np.asarray(dz) ** 2)
-
-
-def forbidden_region_contains(delta: Displacement, threshold_b: float,
-                              array: ArrayConfig, scene: SceneConfig) -> bool:
-    """True iff the displacement falls short of the threshold exponent,
-    i.e. B(delta) < threshold_b."""
-    return bhattacharyya_exact(delta, array, scene) < threshold_b
 
 
 # --- necessary Euclidean separation ------------------------------------------

@@ -18,8 +18,7 @@ from .codebook import hexagonal_design
 from .field import necessary_separations
 
 __all__ = ["RatePoint", "BoundPoint", "LstarPoint", "rate_sweep", "bound_sweep",
-           "lstar_sweep", "closed_form_lstar_int", "exhaustive_closed_form_lstar",
-           "db_to_linear"]
+           "lstar_sweep", "closed_form_lstar_int", "exhaustive_closed_form_lstar"]
 
 
 @dataclass(frozen=True)
@@ -62,19 +61,21 @@ class LstarPoint:
     l_star_closed_exhaustive: int
 
 
-def _sweep_lists(*lists) -> list[list]:
-    """The sweep grids a command reads, as lists; each must be non-empty."""
-    lists = [list(x) for x in lists]
-    if not all(lists):
-        raise ValueError("sweep lists must be non-empty")
-    return lists
+def _sweep_lists(**lists) -> list[list]:
+    """The sweep grids a command reads, as lists in keyword order; an empty
+    one is rejected by its config key, sweep.<keyword>."""
+    out = [list(x) for x in lists.values()]
+    for key, x in zip(lists, out):
+        if not x:
+            raise ValueError(f"sweep.{key} must be non-empty")
+    return out
 
 
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
     report) for each L]).  One necessary-separation call covers the whole
     SNR list, so one steering-correlation grid serves every SNR."""
-    snr_db_list, l_list = _sweep_lists(snr_db_list, l_list)
+    snr_db_list, l_list = _sweep_lists(snr_db_list=snr_db_list, l_list=l_list)
     snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
     for db, snr_scene, row in zip(snr_db_list, snr_scenes, d_necs):
@@ -174,7 +175,7 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     exact-design window refinement, and the closed-form integer optimum with
     its exhaustive cross-check."""
     rows = []
-    for db in _sweep_lists(snr_db_list)[0]:
+    for db in _sweep_lists(snr_db_list=snr_db_list)[0]:
         g0 = db_to_linear(db)
         scene = scene_template.with_snr(g0)
         l_cont, l_int = optimal_snapshots(eps, scene, array)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from embcom.arrays import (ArrayConfig, Displacement, Position, SceneConfig,
-                           gamma0_from_link_budget, position_to_angles,
                            steering_correlation_exact, steering_matrix,
                            steering_vector)
 from embcom.bounds import support_grid_atoms
@@ -14,22 +13,6 @@ def kron_reference(y, z, array, scene):
     ph_y = np.exp(1j * np.pi * (y / scene.distance_d) * np.arange(array.m_y))
     ph_z = np.exp(1j * np.pi * (z / scene.distance_d) * np.arange(array.m_z))
     return np.kron(ph_y, ph_z) / np.sqrt(array.m_total)
-
-
-def test_angle_mapping_center(ref_scene):
-    assert position_to_angles(Position(0.0, 0.0), ref_scene) == (0.0, 0.0)
-
-
-def test_angle_mapping_linear(ref_scene):
-    assert position_to_angles(Position(1.0, -1.0), ref_scene) == (0.01, -0.01)
-    th, ph = position_to_angles(Position(0.5, 0.25), ref_scene)
-    assert th == pytest.approx(0.005, abs=1e-15)
-    assert ph == pytest.approx(0.0025, abs=1e-15)
-
-
-def test_angle_mapping_rejects_outside(ref_scene):
-    with pytest.raises(ValueError):
-        position_to_angles(Position(1.5, 0.0), ref_scene)
 
 
 def test_array_config_validation():
@@ -123,12 +106,3 @@ def test_eta_symmetry_period_range(ref_array, ref_scene):
         shifted = Displacement(d.dy + period, d.dz - period)
         assert e == pytest.approx(
             steering_correlation_exact(shifted, ref_array, ref_scene), abs=1e-9)
-
-
-def test_link_budget_converter():
-    # rho = sqrt(E G) * lam * sqrt(rcs) / ((4 pi)^1.5 D^2), gamma0 = rho^2/s2
-    lam, d = 0.05, 100.0
-    rho = np.sqrt(2.0 * 30.0) * lam * np.sqrt(1.5) / ((4 * np.pi) ** 1.5 * d ** 2)
-    expect = rho * rho / 0.1
-    got = gamma0_from_link_budget(2.0, 30.0, 1.5, lam, d, 0.1)
-    assert got == pytest.approx(expect, rel=1e-12)

@@ -8,16 +8,28 @@ from embcom.arrays import (ArrayConfig, Position, SceneConfig, db_to_linear,
                            steering_vector)
 from embcom import arrays, bounds
 from embcom.bounds import (_cross_row, _fw_maximize, _support_grid_factors,
-                           binary_entropy, geo_bound, geo_bound_mainlobe,
-                           info_bound_support, info_bound_universal,
-                           optimal_snapshots, packing_count, snap_info_support,
+                           binary_entropy, fano_bound, geo_bound_mainlobe,
+                           info_bound_universal, optimal_snapshots,
+                           packing_count, packing_rate, snap_info_support,
                            snap_info_universal, support_grid_atoms)
 from embcom.codebook import hexagonal_design, xi_h_factor
 from embcom.config import load_config
-from embcom.field import dnec_mainlobe
+from embcom.field import dnec_mainlobe, necessary_separation_dnec
 
 # a general atom set is one factor with a trivial second one
 ONE = np.ones((1, 1))
+
+
+def support_bound(eps, scene, array, grid_n, fw_iters=400):
+    """Fano converse of the grid-restricted support-constrained value."""
+    return fano_bound(snap_info_support(scene, array, grid_n, fw_iters), eps,
+                      scene)
+
+
+def geo_bound(eps, scene, array, n_rays):
+    """Disk-packing converse at the necessary separation of the ray search."""
+    return packing_rate(necessary_separation_dnec(
+        eps, scene.snapshots_l, array, scene, n_rays=n_rays), scene)
 
 
 def test_binary_entropy():
@@ -44,7 +56,7 @@ def test_universal_bound_values(ref_array, ref_scene):
 
 def test_support_single_point_grid(ref_array, ref_scene):
     # one position: rank-one mixture, det(I + g a a^H) = 1 + g, zero information
-    v = info_bound_support(1e-3, ref_scene, ref_array, grid_n=1, fw_iters=5)
+    v = support_bound(1e-3, ref_scene, ref_array, grid_n=1, fw_iters=5)
     expect = (0.0 + binary_entropy(1e-3) / 5) / 0.999
     assert v == pytest.approx(expect, abs=1e-12)
 
@@ -65,8 +77,8 @@ def test_support_orthogonal_atoms_closed_form(small_array):
 
 def test_support_below_universal_and_grid_monotone(ref_array, ref_scene):
     v_univ = info_bound_universal(1e-3, ref_scene, ref_array)
-    coarse = info_bound_support(1e-3, ref_scene, ref_array, grid_n=11, fw_iters=400)
-    fine = info_bound_support(1e-3, ref_scene, ref_array, grid_n=21, fw_iters=400)
+    coarse = support_bound(1e-3, ref_scene, ref_array, grid_n=11, fw_iters=400)
+    fine = support_bound(1e-3, ref_scene, ref_array, grid_n=21, fw_iters=400)
     assert coarse <= v_univ + 1e-9
     assert fine <= v_univ + 1e-9
     # 21 = 2*11-1: nested grids, finer can only help (solver tolerance slack)
@@ -434,7 +446,7 @@ def test_bound_report_ordering(ref_array, ref_scene):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         c_univ = info_bound_universal(1e-3, scene, ref_array)
-        c_sup = info_bound_support(1e-3, scene, ref_array, grid_n=11, fw_iters=200)
+        c_sup = support_bound(1e-3, scene, ref_array, grid_n=11, fw_iters=200)
         c_geo = geo_bound(1e-3, scene, ref_array, n_rays=90)
         c_geo_ml = geo_bound_mainlobe(1e-3, scene, ref_array)
     assert c_sup <= c_univ + 1e-9

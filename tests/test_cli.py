@@ -47,8 +47,8 @@ def test_library_solver_defaults_match_config():
                     seen.add(name)
                     assert param.default == cfg.get(
                         "solver", SOLVER_KEYS[param.name]), (name, param.name)
-    assert {"necessary_separations", "geo_bound", "snap_info_support",
-            "info_bound_support", "rate_sweep", "bound_sweep"} <= seen
+    assert {"necessary_separations", "necessary_separation_dnec",
+            "snap_info_support", "rate_sweep", "bound_sweep"} <= seen
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -372,12 +372,21 @@ def test_solver_key_below_limit_rejected(tmp_path, capsys, key, value):
                                           ("sweep", "snr_db_list"),
                                           ("sweep", "l_list")])
 def test_empty_sweep_list_rejected(tmp_path, capsys, monkeypatch, command, key):
-    # one rule for every command that reads the list: exit 1, no table, and
-    # no Frank-Wolfe solve for a table without rows
+    # one rule for every command that reads the list: exit 1 naming the key,
+    # nothing written, and no Frank-Wolfe solve for a table without rows
     monkeypatch.setattr(sweep, "snap_info_support", None)
     assert run(tmp_path, "--set", f"sweep.{key}=", command) == 1
-    assert "sweep lists must be non-empty" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert capsys.readouterr().err == f"error: sweep.{key} must be non-empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [("sweep", "l_list"),
+                                          ("lstar", "snr_db_list")])
+def test_list_of_only_commas_is_empty(tmp_path, capsys, command, key):
+    # a list value keeps its non-blank entries, so "," is an empty list too
+    assert run(tmp_path, "--set", f"sweep.{key}=,", command) == 1
+    assert capsys.readouterr().err == f"error: sweep.{key} must be non-empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lstar_ignores_empty_l_list(tmp_path):

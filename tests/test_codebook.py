@@ -7,12 +7,10 @@ import pytest
 
 from embcom import codebook, field
 from embcom.arrays import ArrayConfig, SceneConfig, db_to_linear
-from embcom.codebook import (LatticeGenerator, codebook_from_csv,
-                             codebook_to_csv, greedy_packing_baseline,
-                             hexagonal_design, hexagonal_size,
-                             hexagonal_size_fixed_point, lambert_w0,
-                             make_codebook, truncate_lattice, verify_codebook,
-                             xi_factor, xi_h_factor)
+from embcom.codebook import (codebook_from_csv, codebook_to_csv,
+                             greedy_packing_baseline, hexagonal_design,
+                             hexagonal_size, lambert_w0, make_codebook,
+                             verify_codebook, xi_h_factor)
 from embcom.config import load_config
 from embcom.field import b_codebook, bhattacharyya_grid, quadratic_params
 
@@ -21,53 +19,48 @@ NULL_B_G10 = 1.1856236656577395
 
 # --- lattice truncation -------------------------------------------------------
 
-def test_truncate_unit_grid(ref_array, ref_scene):
-    gen = LatticeGenerator.from_matrix(np.eye(2))
-    cb = truncate_lattice(gen, ref_scene, ref_array)
-    got = sorted(map(tuple, cb.points.tolist()))
+def _in_reference_plane(gen):
+    """Lattice points gen @ Z^2 in the closed 2 m x 2 m plane, by the
+    enumeration hexagonal_design lays its lattice out with."""
+    return codebook._lattice_points_in_box(gen, np.zeros(2), 1.0, 1.0)
+
+
+def test_truncate_unit_grid():
+    got = sorted(map(tuple, _in_reference_plane(np.eye(2)).tolist()))
     expect = sorted((float(y), float(z)) for y in (-1, 0, 1) for z in (-1, 0, 1))
     assert got == expect  # boundary points retained: closed plane
 
 
-def test_truncate_coarse_lattice_keeps_origin(ref_array, ref_scene):
-    gen = LatticeGenerator.from_matrix(10.0 * np.eye(2))
-    cb = truncate_lattice(gen, ref_scene, ref_array)
-    assert len(cb) == 1
-    assert cb.points[0, 0] == 0.0
+def test_truncate_coarse_lattice_keeps_origin():
+    pts = _in_reference_plane(10.0 * np.eye(2))
+    assert len(pts) == 1
+    assert pts[0, 0] == 0.0
 
 
-def test_truncate_count_tracks_cell_area(ref_array, ref_scene):
+def test_truncate_count_tracks_cell_area(ref_scene):
     rng = np.random.default_rng(2)
     for _ in range(10):
         m = rng.uniform(0.05, 0.3, size=(2, 2))
         m[0, 0] += 0.3
         m[1, 1] += 0.3
-        gen = LatticeGenerator.from_matrix(m)
-        cb = truncate_lattice(gen, ref_scene, ref_array)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         area = ref_scene.extent_y * ref_scene.extent_z
-        approx = area / abs(gen.det)
-        cell = math.sqrt(abs(gen.det))
+        approx = area / abs(det)
+        cell = math.sqrt(abs(det))
         perimeter_slack = 2 * (ref_scene.extent_y + ref_scene.extent_z) / cell + 8
-        assert abs(len(cb) - approx) <= perimeter_slack
+        assert abs(len(_in_reference_plane(m)) - approx) <= perimeter_slack
 
 
-def test_truncate_matches_bruteforce_box(ref_array, ref_scene):
-    gen = LatticeGenerator.from_matrix(np.array([[0.31, 0.12], [-0.05, 0.27]]))
-    cb = truncate_lattice(gen, ref_scene, ref_array)
+def test_truncate_matches_bruteforce_box():
+    g = np.array([[0.31, 0.12], [-0.05, 0.27]])
     pts = set()
-    g = gen.matrix
     for k1 in range(-60, 61):
         for k2 in range(-60, 61):
             p = g @ (k1, k2)
             if abs(p[0]) <= 1.0 + 1e-9 and abs(p[1]) <= 1.0 + 1e-9:
                 pts.add((round(p[0], 9), round(p[1], 9)))
-    got = {(round(y, 9), round(z, 9)) for y, z in cb.points.tolist()}
+    got = {(round(y, 9), round(z, 9)) for y, z in _in_reference_plane(g).tolist()}
     assert got == pts
-
-
-def test_rank_deficient_generator_rejected():
-    with pytest.raises(ValueError):
-        LatticeGenerator.from_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
 # --- verification --------------------------------------------------------------
@@ -193,8 +186,7 @@ def test_scan_matches_bruteforce_beyond_2048(small_array, ref_scene):
 def test_scan_keeps_first_of_tied_pairs(monkeypatch, ref_array, ref_scene,
                                         pairs_per_call):
     monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
-    pts = truncate_lattice(LatticeGenerator.from_matrix(0.25 * np.eye(2)),
-                           ref_scene, ref_array).points
+    pts = _in_reference_plane(0.25 * np.eye(2))
     got = codebook._min_pairwise_b(pts, ref_array, ref_scene)
     assert got == _first_min_pair(pts, ref_array, ref_scene)
     # the minimum is tied across many pairs, in more than one block
@@ -289,9 +281,24 @@ def test_xi_equals_whitened_area(ref_array, ref_scene):
     p = quadratic_params(ref_array, ref_scene)
     det_gb = (p.kappa * p.alpha_y) * (p.kappa * p.alpha_z)
     expect = ref_scene.extent_y * ref_scene.extent_z * math.sqrt(det_gb)
-    assert xi_factor(ref_scene, ref_array) == pytest.approx(expect, rel=1e-12)
     assert xi_h_factor(ref_scene, ref_array) == pytest.approx(
         2 * expect / math.sqrt(3), rel=1e-12)
+
+
+def _size_fixed_point(eps, l, scene, array):
+    """Size by iterating J <- Xi_h L / log(J/eps): the equation the Lambert-W
+    closed form solves, by another method.  Starts at J = 2 and stops after
+    500 iterations; iterates are clamped above eps*e, where the map is
+    defined and bounded (below it the design is under one codeword)."""
+    xl = xi_h_factor(scene, array) * l
+    floor = eps * math.e
+    j = max(2.0, floor)
+    for _ in range(500):
+        j_next = max(xl / math.log(j / eps), floor)
+        if abs(j_next - j) <= 1e-12 * max(1.0, abs(j_next)):
+            return j_next
+        j = j_next
+    return j
 
 
 def test_sizing_consistency(ref_array, ref_scene):
@@ -299,7 +306,7 @@ def test_sizing_consistency(ref_array, ref_scene):
     for g0, l in ((100.0, 5), (10.0, 20), (31.6227766, 8)):
         sc = ref_scene.with_snr(g0).with_snapshots(l)
         j = hexagonal_size(eps, l, sc, ref_array)
-        j_fp = hexagonal_size_fixed_point(eps, l, sc, ref_array)
+        j_fp = _size_fixed_point(eps, l, sc, ref_array)
         xl = xi_h_factor(sc, ref_array) * l
         if j >= 1:
             assert j * math.log(j / eps) <= xl + 1e-6
@@ -307,7 +314,7 @@ def test_sizing_consistency(ref_array, ref_scene):
         assert abs(hexagonal_size(eps, l, sc, ref_array) - math.floor(j_fp)) <= 1
 
 
-def test_lambert_w_matches_fixed_point_on_design_grid(monkeypatch):
+def test_lambert_w_matches_fixed_point_on_design_grid():
     """The two sizings of J log(J/eps) = Xi_h L agree within one codeword at
     every design-grid point: 0-40 dB in 2.5 dB steps x the default l_list.
     The design itself sizes by Lambert-W alone."""
@@ -317,12 +324,11 @@ def test_lambert_w_matches_fixed_point_on_design_grid(monkeypatch):
         for l in cfg.get("sweep", "l_list"):
             sc = cfg.scene.with_snr(db_to_linear(db)).with_snapshots(l)
             j_w = codebook._hexagonal_size_cont(cfg.eps, l, sc, cfg.array)
-            j_fp = hexagonal_size_fixed_point(cfg.eps, l, sc, cfg.array)
+            j_fp = _size_fixed_point(cfg.eps, l, sc, cfg.array)
             if abs(j_w - j_fp) > 1.0:
                 bad.append((db, l, j_w, j_fp))
     assert bad == []
-    monkeypatch.setattr(codebook, "hexagonal_size_fixed_point", None)
-    hexagonal_design(cfg.eps, cfg.scene.with_snr(100.0), cfg.array)
+    assert not hasattr(codebook, "hexagonal_size_fixed_point")
 
 
 def _whitened_min_distance(cb, params):
@@ -443,7 +449,7 @@ def test_hex_design_survives_starved_snr(ref_array, ref_scene):
         cb, rep = hexagonal_design(1e-3, ref_scene.with_snr(0.1).with_snapshots(1),
                                    ref_array)
     assert rep.j == 1 and rep.feasible
-    fp = hexagonal_size_fixed_point(1e-3, 1, ref_scene.with_snr(0.1), ref_array)
+    fp = _size_fixed_point(1e-3, 1, ref_scene.with_snr(0.1), ref_array)
     assert fp > 0.0
 
 

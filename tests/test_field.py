@@ -8,11 +8,10 @@ import pytest
 
 from embcom import field
 from embcom.arrays import ArrayConfig, Displacement, Position, SceneConfig, steering_vector
-from embcom.field import (b_codebook, b_necessary, b_required,
-                          bhattacharyya_exact, bhattacharyya_grid,
-                          bhattacharyya_quadratic, dnec_mainlobe, field_ceiling,
-                          forbidden_region_contains, necessary_separation_dnec,
-                          necessary_separations, pairwise_error_bound,
+from embcom.field import (b_codebook, b_necessary, bhattacharyya_exact,
+                          bhattacharyya_grid, bhattacharyya_quadratic,
+                          dnec_mainlobe, field_ceiling,
+                          necessary_separation_dnec, necessary_separations,
                           quadratic_params)
 
 NULL_B_G10 = 1.1856236656577395  # log(36/11), field value at a kernel null
@@ -97,27 +96,14 @@ def test_axis_kernel_is_the_per_pair_factor_bitwise(ref_array, ref_scene):
                            ref_scene))
 
 
-def test_pairwise_error_bound(ref_array, ref_scene):
-    assert pairwise_error_bound(Displacement(0, 0), 5, ref_array, ref_scene) == 1.0
-    null = Displacement(3.125, 0.0)
-    p5 = pairwise_error_bound(null, 5, ref_array, ref_scene)
-    assert p5 == pytest.approx(math.exp(-5 * NULL_B_G10), rel=1e-12)
-    assert p5 == pytest.approx(2.6634890885112368e-3, rel=1e-10)
-    p10 = pairwise_error_bound(null, 10, ref_array, ref_scene)
-    assert p10 == pytest.approx(p5 * p5, rel=1e-9)
-    with pytest.raises(ValueError):
-        pairwise_error_bound(null, 0, ref_array, ref_scene)
-
-
 def test_thresholds():
-    assert b_required(1e-3, 5) == pytest.approx(math.log(1000) / 5, rel=1e-14)
     assert b_codebook(2, 1e-3, 5) == pytest.approx(1.3815510557964275, rel=1e-12)
     assert b_codebook(1, 1e-3, 5) == 0.0
     assert b_necessary(1e-3, 5) == pytest.approx(0.552246141819583, rel=1e-12)
-    # necessary is weaker than sufficient for eps < 1/2
+    # necessary is weaker than the sufficient log(1/eps)/L for eps < 1/2
     for eps in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.49):
         for l in (1, 2, 5, 20):
-            assert b_necessary(eps, l) < b_required(eps, l)
+            assert b_necessary(eps, l) < math.log(1 / eps) / l
 
 
 def test_quadratic_params_values(ref_array, ref_scene):
@@ -180,15 +166,6 @@ def test_quadratic_hessian_matches_curvature(ref_array, ref_scene):
     assert hyy == pytest.approx(2 * g[0, 0], rel=5e-3)
     assert hzz == pytest.approx(2 * g[1, 1], rel=5e-3)
     assert abs(hyz) < 5e-3 * 2 * g[0, 0]
-
-
-def test_forbidden_region(ref_array, ref_scene):
-    assert forbidden_region_contains(Displacement(0, 0), 0.5, ref_array, ref_scene)
-    null = Displacement(3.125, 0.0)
-    assert not forbidden_region_contains(null, 1.0, ref_array, ref_scene)
-    assert not forbidden_region_contains(null, 0.0, ref_array, ref_scene)
-    assert not forbidden_region_contains(Displacement(0, 0), 0.0, ref_array,
-                                         ref_scene)
 
 
 def test_dnec_value_and_mainlobe_match(ref_array, ref_scene):

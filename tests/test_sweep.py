@@ -3,12 +3,13 @@ import warnings
 import pytest
 
 from embcom import sweep
-from embcom.bounds import (fano_bound, geo_bound, geo_bound_mainlobe,
-                           info_bound_support, info_bound_universal,
-                           optimal_snapshots, snap_info_support)
+from embcom.arrays import db_to_linear
+from embcom.bounds import (fano_bound, geo_bound_mainlobe, info_bound_universal,
+                           optimal_snapshots, packing_rate, snap_info_support)
 from embcom.codebook import hexagonal_design
 from embcom.config import load_config
-from embcom.sweep import bound_sweep, db_to_linear, lstar_sweep, rate_sweep
+from embcom.field import necessary_separation_dnec
+from embcom.sweep import bound_sweep, lstar_sweep, rate_sweep
 
 SWEEP_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -57,9 +58,9 @@ def test_lstar_sweep_rows(ref_array, ref_scene):
 
 
 def test_rate_sweep_rejects_empty_lists(ref_array, ref_scene):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sweep.snr_db_list must be non-empty$"):
         rate_sweep(1e-3, ref_scene, ref_array, (), (5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sweep.l_list must be non-empty$"):
         rate_sweep(1e-3, ref_scene, ref_array, (10.0,), ())
 
 
@@ -79,9 +80,10 @@ def test_bound_sweep_matches_per_point_calls(ref_array, ref_scene):
             assert (row.gamma0_db, row.gamma0) == (20.0, sc.snr_gamma0)
             assert row.rate_lower == rate.rate_bits_per_second
             assert row.c_info_universal == info_bound_universal(1e-3, sc, ref_array)
-            assert row.c_info_support_grid == info_bound_support(
-                1e-3, sc, ref_array, grid_n=11)
-            assert row.c_geo == geo_bound(1e-3, sc, ref_array, n_rays=90)
+            assert row.c_info_support_grid == fano_bound(
+                snap_info_support(sc, ref_array, 11), 1e-3, sc)
+            assert row.c_geo == packing_rate(necessary_separation_dnec(
+                1e-3, row.l, ref_array, sc, n_rays=90), sc)
             assert row.c_geo_mainlobe == geo_bound_mainlobe(1e-3, sc, ref_array)
             assert (row.l_star_cont, row.l_star_int) == optimal_snapshots(
                 1e-3, sc, ref_array)
