@@ -313,7 +313,10 @@ def _parse(argv) -> tuple[argparse.Namespace, str, dict]:
 def main(argv=None) -> int:
     args, command, options = _parse(argv)
     try:
-        cfg = load_config(args.config, args.overrides, args.out, args.seed)
+        # --out and --seed are --set lines applied after every --set
+        shorthands = [f"{k}={v}" for k, v in (("output.directory", args.out),
+                                              ("sim.seed", args.seed)) if v is not None]
+        cfg = load_config(args.config, args.overrides + shorthands)
         out = Path(cfg.get("output", "directory"))
         out.mkdir(parents=True, exist_ok=True)
         # looked up by name at each call, so a wrapper bound to the module

@@ -53,6 +53,7 @@ class DesignReport:
 
 _PAIRS_PER_CALL = 1 << 16  # pairs per block of the worst-pair scan
 _MAX_CANDIDATES = 1 << 20  # entries of the greedy's grid and of each axis table
+_MAX_LATTICE_POINTS = 1 << 22  # lattice points one design may enumerate
 
 
 def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
@@ -105,10 +106,16 @@ def _lattice_points_in_box(gen: np.ndarray, offset: np.ndarray, half_y: float,
     corners = np.array([[sy * half_y, sz * half_z]
                         for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
     k_img = np.linalg.solve(gen, (corners - offset).T)
-    k_lo = np.floor(k_img.min(axis=1)).astype(int) - 1
-    k_hi = np.ceil(k_img.max(axis=1)).astype(int) + 1
-    k1 = np.arange(k_lo[0], k_hi[0] + 1)
-    k2 = np.arange(k_lo[1], k_hi[1] + 1)
+    k_lo = np.floor(k_img.min(axis=1)) - 1
+    k_hi = np.ceil(k_img.max(axis=1)) + 1
+    # counted as floats before any array is built: a fine lattice makes the
+    # index ranges too long for memory, or for int()
+    count = float(np.prod(k_hi - k_lo + 1))
+    if not count <= _MAX_LATTICE_POINTS:
+        raise ValueError(f"the hexagonal lattice enumerates {count:.4g} points "
+                         f"to cover the plane, more than {_MAX_LATTICE_POINTS}")
+    k1 = np.arange(int(k_lo[0]), int(k_hi[0]) + 1)
+    k2 = np.arange(int(k_lo[1]), int(k_hi[1]) + 1)
     kk = np.array(np.meshgrid(k1, k2)).reshape(2, -1)
     pts = (gen @ kk).T + offset
     tol = 1e-9 * max(1.0, half_y, half_z)

@@ -12,9 +12,6 @@ from .arrays import ArrayConfig, SceneConfig, db_to_linear
 
 __all__ = ["RunConfig", "load_config", "resolved_items"]
 
-_FLOAT_LIST = "float_list"
-_INT_LIST = "int_list"
-
 # rule -> predicate; the rule is also the phrase of the error message, and
 # NaN fails every predicate
 _RULES = {
@@ -26,76 +23,76 @@ _RULES = {
     "finite": math.isfinite,
     "finite and > 0": lambda v: 0 < v < math.inf,
     "in (0,1)": lambda v: 0 < v < 1,
+    # dB: 10^(x/10) overflows above about 3082 dB and is 0 below about -3233
+    # dB, and the design's size estimate divides by zero below about -1700 dB
+    "in [-1000, 1000]": lambda v: -1000 <= v <= 1000,
 }
 
-# section -> key -> (type, default, rule); a None default means the key is
-# optional, and a list key's rule holds for each entry
-_SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
+
+def _list(convert):
+    """Converter of a comma-separated list; blank entries are dropped."""
+    return lambda raw: tuple(convert(p) for p in map(str.strip, raw.split(",")) if p)
+
+
+# section -> key -> (converter, default, rule); a None default means the key
+# is optional, and a list key's rule holds for each entry
+_SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
     "array": {
-        "m_y": ("int", 64, ">= 1"),
-        "m_z": ("int", 16, ">= 1"),
+        "m_y": (int, 64, ">= 1"),
+        "m_z": (int, 16, ">= 1"),
     },
     "scene": {
-        "distance_m": ("float", 100.0, "finite and > 0"),
-        "extent_y_m": ("float", 2.0, "finite and > 0"),
-        "extent_z_m": ("float", 2.0, "finite and > 0"),
-        "snr_db": ("float", None, "finite"),
-        "snr_gamma0": ("float", None, "finite and > 0"),
-        "noise_var": ("float", 1.0, "finite and > 0"),
-        "snapshots": ("int", 5, ">= 1"),
-        "pulse_duration_s": ("float", 1.0, "finite and > 0"),
-        "far_field_ratio": ("float", 0.05, "finite and > 0"),
+        "distance_m": (float, 100.0, "finite and > 0"),
+        "extent_y_m": (float, 2.0, "finite and > 0"),
+        "extent_z_m": (float, 2.0, "finite and > 0"),
+        "snr_db": (float, None, "in [-1000, 1000]"),
+        "snr_gamma0": (float, None, "finite and > 0"),
+        "noise_var": (float, 1.0, "finite and > 0"),
+        "snapshots": (int, 5, ">= 1"),
+        "pulse_duration_s": (float, 1.0, "finite and > 0"),
+        "far_field_ratio": (float, 0.05, "finite and > 0"),
     },
     "design": {
-        "epsilon": ("float", 1e-3, "in (0,1)"),
-        "hex_rotation_rad": ("float", 0.0, "finite"),
-        "hex_offset_y": ("float", 0.0, "finite"),
-        "hex_offset_z": ("float", 0.0, "finite"),
-        "greedy_grid_step_m": ("float", 0.1, "finite and > 0"),
+        "epsilon": (float, 1e-3, "in (0,1)"),
+        "hex_rotation_rad": (float, 0.0, "finite"),
+        "hex_offset_y": (float, 0.0, "finite"),
+        "hex_offset_z": (float, 0.0, "finite"),
+        "greedy_grid_step_m": (float, 0.1, "finite and > 0"),
     },
     "sweep": {
-        "snr_db_list": (_FLOAT_LIST, (0.0, 5.0, 10.0, 15.0, 20.0), "finite"),
-        "l_list": (_INT_LIST, (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40),
+        "snr_db_list": (_list(float), (0.0, 5.0, 10.0, 15.0, 20.0),
+                        "in [-1000, 1000]"),
+        "l_list": (_list(int), (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40),
                    ">= 1"),
     },
     "solver": {
-        "dnec_rays": ("int", 720, ">= 1"),
-        "dnec_tol_m": ("float", 1e-5, ">= 0 and finite"),
-        "support_grid_n": ("int", 41, ">= 1"),
-        "fw_iters": ("int", 400, ">= 1"),  # FW needs one iteration for a gap
-        "fw_gap_tol_bits": ("float", 1e-6, ">= 0 and finite"),
+        "dnec_rays": (int, 720, ">= 1"),
+        "dnec_tol_m": (float, 1e-5, ">= 0 and finite"),
+        "support_grid_n": (int, 41, ">= 1"),
+        "fw_iters": (int, 400, ">= 1"),  # FW needs one iteration for a gap
+        "fw_gap_tol_bits": (float, 1e-6, ">= 0 and finite"),
     },
     "sim": {
-        "trials_per_codeword": ("int", 20000, ">= 100"),  # estimate_errors' floor
-        "seed": ("int", 12345, ">= 0"),  # seed sequences take non-negative ints
-        "max_codewords": ("int", 16, ">= 2"),  # the subsample keeps the worst pair
+        "trials_per_codeword": (int, 20000, ">= 100"),  # estimate_errors' floor
+        "seed": (int, 12345, ">= 0"),  # seed sequences take non-negative ints
+        "max_codewords": (int, 16, ">= 2"),  # the subsample keeps the worst pair
     },
     "field": {
-        "grid_half_y_m": ("float", 2.0, "finite and > 0"),
-        "grid_half_z_m": ("float", 2.0, "finite and > 0"),
-        "grid_points": ("int", 81, ">= 2"),
-        "profile_radius_m": ("float", 0.5, "finite and > 0"),
-        "profile_points": ("int", 360, ">= 2"),
+        "grid_half_y_m": (float, 2.0, "finite and > 0"),
+        "grid_half_z_m": (float, 2.0, "finite and > 0"),
+        "grid_points": (int, 81, ">= 2"),
+        "profile_radius_m": (float, 0.5, "finite and > 0"),
+        "profile_points": (int, 360, ">= 2"),
     },
     "output": {
-        "directory": ("str", "out", None),
+        "directory": (str, "out", None),
     },
 }
 
 
 def _convert(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key][0]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if kind == _FLOAT_LIST:
-            return tuple(float(p) for p in parts)
-        return tuple(int(p) for p in parts)
+        return _SCHEMA[section][key][0](raw)
     except ValueError as exc:
         raise ValueError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
 
@@ -136,43 +133,41 @@ class RunConfig:
         return self.get("design", "epsilon")
 
 
-def load_config(path: str | None = None, overrides: list[str] | None = None,
-                out_dir: str | None = None, seed: int | None = None) -> RunConfig:
+def load_config(path: str | None = None,
+                overrides: list[str] | None = None) -> RunConfig:
     """Resolve defaults, an optional INI file, and dotted --set overrides into
-    a validated RunConfig."""
+    a validated RunConfig.  A file line ``key = value`` under ``[section]``
+    means exactly ``--set section.key=value``, and later lines win."""
     values: dict[str, dict[str, object]] = {
         sec: {k: default for k, (_, default, _) in keys.items()}
         for sec, keys in _SCHEMA.items()
     }
-
+    items = []  # (section, key, text), in the order they apply
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        read = parser.read(path)
-        if not read:
-            raise OSError(f"config file not found: {path}")
+        # text and keys as written; the empty default-section name makes a
+        # [DEFAULT] section an unknown section like any other
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                           interpolation=None, default_section="")
+        parser.optionxform = str
+        try:
+            if not parser.read(path):
+                raise OSError(f"config file not found: {path}")
+        except configparser.Error as exc:
+            raise ValueError(f"bad config file {path}: {exc}") from None
         for sec in parser.sections():
             if sec not in _SCHEMA:
-                raise ValueError(f"unknown config section [{sec}]")
-            for key, raw in parser.items(sec):
-                if key not in _SCHEMA[sec]:
-                    raise ValueError(f"unknown config key {sec}.{key}")
-                values[sec][key] = _convert(sec, key, raw)
-
+                raise ValueError(f"unknown config section [{sec}] in {path}")
+            items += ((sec, key, raw) for key, raw in parser.items(sec))
     for item in overrides or []:
-        if "=" not in item:
+        dotted, eq, raw = item.partition("=")
+        sec, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ValueError(f"--set expects section.key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ValueError(f"--set expects section.key=value, got {item!r}")
-        sec, key = dotted.split(".", 1)
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
+        items.append((sec, key, raw.strip()))
+    for sec, key, raw in items:
+        if key not in _SCHEMA.get(sec, ()):
             raise ValueError(f"unknown config key {sec}.{key}")
         values[sec][key] = _convert(sec, key, raw)
-
-    if out_dir is not None:
-        values["output"]["directory"] = out_dir
-    if seed is not None:
-        values["sim"]["seed"] = int(seed)
 
     for sec, keys in _SCHEMA.items():
         for key, (_, _, rule) in keys.items():

@@ -74,8 +74,12 @@ def _sweep_lists(**lists) -> list[list]:
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
     report) for each L]).  One necessary-separation call covers the whole
-    SNR list, so one steering-correlation grid serves every SNR."""
+    SNR list, so one steering-correlation grid serves every SNR.  The
+    geometric converse's necessary threshold needs eps < 1/2."""
     snr_db_list, l_list = _sweep_lists(snr_db_list=snr_db_list, l_list=l_list)
+    if not 0 < eps < 0.5:
+        raise ValueError("design.epsilon must be in (0, 1/2) for sweep and bounds, "
+                         f"got {eps}")
     snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
     for db, snr_scene, row in zip(snr_db_list, snr_scenes, d_necs):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -107,8 +108,9 @@ def test_oversized_greedy_grid_rejected_by_key(tmp_path, capsys, step):
      "scene.far_field_ratio must be finite and > 0, got nan"),
     ("field", ["scene.distance_m=inf"], "scene.distance_m must be finite and > 0"),
     ("field", ["scene.distance_m=-5"], "scene.distance_m must be finite and > 0"),
-    ("codebook", ["scene.snr_db=inf"], "scene.snr_db must be finite, got inf"),
-    ("lstar", ["sweep.snr_db_list=10,inf"], "sweep.snr_db_list must be finite"),
+    ("codebook", ["scene.snr_db=inf"], "scene.snr_db must be in [-1000, 1000], got inf"),
+    ("lstar", ["sweep.snr_db_list=10,inf"],
+     "sweep.snr_db_list must be in [-1000, 1000], got inf"),
     ("simulate", ["scene.snr_db=20", "scene.noise_var=inf"],
      "scene.noise_var must be finite and > 0"),
     ("sweep", ["scene.pulse_duration_s=inf"],
@@ -120,7 +122,19 @@ def test_oversized_greedy_grid_rejected_by_key(tmp_path, capsys, step):
     ("lstar", ["field.profile_radius_m=inf"],
      "field.profile_radius_m must be finite and > 0"),
     ("lstar", ["scene.snr_gamma0=nan"], "scene.snr_gamma0 must be finite and > 0"),
-    ("lstar", ["array.m_z=0"], "array.m_z must be >= 1, got 0")])
+    ("lstar", ["array.m_z=0"], "array.m_z must be >= 1, got 0"),
+    # 10^(x/10) overflows at 4000 dB and is 0.0 at -4000 dB
+    ("codebook", ["scene.snr_db=4000"],
+     "scene.snr_db must be in [-1000, 1000], got 4000.0"),
+    ("field", ["scene.snr_db=-4000"],
+     "scene.snr_db must be in [-1000, 1000], got -4000.0"),
+    ("lstar", ["sweep.snr_db_list=0,4000"],
+     "sweep.snr_db_list must be in [-1000, 1000], got 4000.0"),
+    ("lstar", ["sweep.snr_db_list=-4000"],
+     "sweep.snr_db_list must be in [-1000, 1000], got -4000.0"),
+    # finite in linear terms, but the design's size estimate divides by zero
+    ("codebook", ["scene.snr_db=-2000"],
+     "scene.snr_db must be in [-1000, 1000], got -2000.0")])
 def test_every_command_checks_every_key(tmp_path, capsys, command, sets, message):
     args = [arg for s in sets for arg in ("--set", s)]
     assert run(tmp_path, *args, command) == 1
@@ -136,11 +150,36 @@ def test_every_key_but_the_directory_has_a_rule():
     assert all(rule in _RULES for rule in rules.values())
 
 
-def test_readme_ini_example_loads(tmp_path):
+def _readme_ini() -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_ini_example_loads(tmp_path):
     ini = tmp_path / "readme.ini"
-    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    ini.write_text(_readme_ini())
     assert load_config(str(ini)) == load_config(overrides=["scene.snr_db=10.0"])
+
+
+def test_readme_ini_comments_are_the_rules():
+    # every key but snr_gamma0 has a line whose comment opens with its rule;
+    # snr_gamma0 and its rule are named in snr_db's comment
+    comments, sec = {}, None
+    for line in _readme_ini().splitlines():
+        if line.startswith("["):
+            sec = line.strip("[]")
+        elif line.strip():
+            key, _, rest = line.partition("=")
+            comments[f"{sec}.{key.strip()}"] = rest.partition(";")[2].strip()
+    schema = {f"{s}.{k}": entry for s, keys in _SCHEMA.items()
+              for k, entry in keys.items()}
+    assert set(comments) == set(schema) - {"scene.snr_gamma0"}
+    for dotted, comment in comments.items():
+        _, default, rule = schema[dotted]
+        phrase = ("no rule" if rule is None else
+                  f"each entry {rule}" if isinstance(default, tuple) else rule)
+        assert re.match(re.escape(phrase) + r"([;,:]|$)", comment), dotted
+    assert f"snr_gamma0 ({schema['scene.snr_gamma0'][2]})" in comments["scene.snr_db"]
 
 
 def test_config_file_parsing(tmp_path):
@@ -442,5 +481,110 @@ def test_negative_seed_rejected_by_name(tmp_path, capsys, args):
 
 
 def test_seed_flag_overrides(tmp_path):
-    cfg = load_config(None, [], None, 777)
-    assert cfg.get("sim", "seed") == 777
+    # defaults < file < --set < --out and --seed, in any order on the line
+    assert load_config(None, ["sim.seed=1", "sim.seed=777"]).get("sim", "seed") == 777
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[sim]\nseed = 1\n[output]\ndirectory = {tmp_path / 'file'}\n")
+    assert load_config(str(ini)).get("sim", "seed") == 1
+    assert load_config(str(ini), ["sim.seed=2"]).get("sim", "seed") == 2
+    out = tmp_path / "flag"
+    assert main(["--seed", "777", "--out", str(out), "--config", str(ini),
+                 "--set", "sim.seed=2", "--set", f"output.directory={tmp_path / 'set'}",
+                 "--set", "sweep.snr_db_list=20", "lstar"]) == 0
+    header = (out / "lstar.csv").read_text()
+    assert "# sim.seed = 777\n" in header
+    assert f"# output.directory = {str(out)!r}\n" in header
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag", "run.ini"]
+
+
+# one valid text per key, each unlike its default; "%" is an ordinary
+# character in both sources
+ONE_LINE_VALUES = [
+    ("array.m_y", "8"), ("array.m_z", "4"),
+    ("scene.distance_m", "50"), ("scene.extent_y_m", "1.5"),
+    ("scene.extent_z_m", "1.5"), ("scene.snr_db", "20"), ("scene.snr_gamma0", "100"),
+    ("scene.noise_var", "0.5"), ("scene.snapshots", "7"),
+    ("scene.pulse_duration_s", "0.01"), ("scene.far_field_ratio", "0.1"),
+    ("design.epsilon", "0.05"), ("design.hex_rotation_rad", "0.5"),
+    ("design.hex_offset_y", "0.1"), ("design.hex_offset_z", "-0.1"),
+    ("design.greedy_grid_step_m", "0.05"),
+    ("sweep.snr_db_list", "0, 5, 10"), ("sweep.l_list", "1, 5,20"),
+    ("solver.dnec_rays", "90"), ("solver.dnec_tol_m", "1e-3"),
+    ("solver.support_grid_n", "11"), ("solver.fw_iters", "50"),
+    ("solver.fw_gap_tol_bits", "1e-4"),
+    ("sim.trials_per_codeword", "500"), ("sim.seed", "7"), ("sim.max_codewords", "4"),
+    ("field.grid_half_y_m", "1"), ("field.grid_half_z_m", "1"),
+    ("field.grid_points", "9"), ("field.profile_radius_m", "0.25"),
+    ("field.profile_points", "12"),
+    ("output.directory", "run%1"), ("output.directory", "run%%1"),
+    ("output.directory", "%(x)s"),
+]
+
+
+def test_one_line_values_cover_the_schema():
+    assert {dotted for dotted, _ in ONE_LINE_VALUES} == {
+        f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys}
+
+
+@pytest.mark.parametrize("dotted, text", ONE_LINE_VALUES)
+def test_file_line_means_its_set_line(tmp_path, dotted, text):
+    sec, key = dotted.split(".")
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[{sec}]\n{key} = {text}\n")
+    from_file = load_config(str(ini))
+    assert from_file == load_config(overrides=[f"{dotted}={text}"])
+    # configparser strips a file value, and --set strips its value the same way
+    assert from_file == load_config(overrides=[f"{dotted}= {text} "])
+    assert from_file != load_config()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[DEFAULT]\nm_z = 4\n", "unknown config section [DEFAULT] in {ini}"),
+    ("[DEFAULT]\nm_z = 4\n[array]\nm_y = 8\n",
+     "unknown config section [DEFAULT] in {ini}"),
+    ("[scene]\nsnr_db = 20\n[DEFAULT]\nm_z = 4\n",
+     "unknown config section [DEFAULT] in {ini}"),
+    ("[array]\nM_Y = 8\n", "unknown config key array.M_Y"),
+    ("m_y = 8\n", "bad config file {ini}: File contains no section headers"),
+    ("[array]\nm_y = 8\nm_y = 9\n", "bad config file {ini}: While reading"),
+    ("[array]\nm_y = 8\n[array]\nm_z = 4\n", "bad config file {ini}: While reading"),
+    ("[array]\nm_y\n", "bad config file {ini}: Source contains parsing errors")],
+    ids=["default-alone", "default-and-array", "default-after-scene", "key-case",
+         "no-section-header", "key-twice", "section-twice", "no-equals"])
+def test_bad_config_file_exits_1_and_writes_nothing(tmp_path, capsys, text, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--out", str(out), "field"]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message.format(ini=ini))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "bounds"])
+def test_epsilon_of_half_or_more_rejected_by_sweep_and_bounds(tmp_path, capsys,
+                                                              command):
+    # the geometric converse's necessary threshold needs eps < 1/2
+    assert run(tmp_path, "--set", "design.epsilon=0.6", command) == 1
+    assert capsys.readouterr().err == ("error: design.epsilon must be in (0, 1/2) "
+                                       "for sweep and bounds, got 0.6\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fn", [sweep.rate_sweep, sweep.bound_sweep])
+def test_sweep_cores_name_the_epsilon_key(fn):
+    cfg = load_config()
+    with pytest.raises(ValueError, match=r"^design\.epsilon must be in \(0, 1/2\)"):
+        fn(0.5, cfg.scene, cfg.array, [20.0], [5])
+
+
+def test_lstar_accepts_epsilon_above_half(tmp_path):
+    assert run(tmp_path, "--set", "design.epsilon=0.6",
+               "--set", "sweep.snr_db_list=20", "lstar") == 0
+
+
+def test_lattice_beyond_the_cap_rejected(tmp_path, capsys):
+    # at 150 dB the lattice that covers the plane has about 6.6e10 points
+    assert run(tmp_path, "--set", "scene.snr_db=150", "codebook") == 1
+    assert ("error: the hexagonal lattice enumerates 6.644e+10 points to cover "
+            "the plane, more than 4194304\n") == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
