@@ -124,14 +124,37 @@ def steering_vector(r: Position, array: ArrayConfig, scene: SceneConfig) -> np.n
     return steering_matrix(r.y, r.z, array, scene)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _dirichlet_sq(delta: np.ndarray | float, m: int, distance_d: float):
     """Squared normalized Dirichlet kernel |sin(pi M u)/(M sin(pi u))|^2,
     u = delta/(2 D), evaluated through its periodic fold so every removable
-    singularity (u at any integer) takes its series-limit value."""
-    u = np.asarray(delta, dtype=float) / (2.0 * distance_d)
-    u = u - np.round(u)
-    amp = np.sinc(m * u) / np.sinc(u)
-    return amp * amp
+    singularity (u at any integer) takes its series-limit value.
+
+    Bit for bit (np.sinc(M u) / np.sinc(u))**2: np.sinc(x) is sin(y) / y
+    with y = pi x, and y = eps where y == 0.  Written out on three buffers
+    this function owns, without np.sinc's temporaries and call overhead.
+    A scalar or 0-d input gives a numpy scalar, as np.sin does."""
+    u = np.asarray(delta, dtype=float)
+    u = np.divide(u, 2.0 * distance_d, out=np.empty(u.shape))
+    y_m = np.rint(u, out=np.empty(u.shape))  # np.round's value at 0 decimals
+    u -= y_m
+    # y_m = (M u) pi is 0 exactly where u is: M >= 1 and pi > 1 cannot
+    # underflow a nonzero u, and the fold keeps |u| <= 1/2
+    zero = u == 0
+    np.multiply(u, m, out=y_m)
+    y_m *= np.pi
+    u *= np.pi
+    np.copyto(y_m, _EPS, where=zero)
+    np.copyto(u, _EPS, where=zero)
+    amp = np.sin(y_m)
+    amp /= y_m
+    np.sin(u, out=y_m)
+    y_m /= u
+    amp /= y_m
+    amp *= amp
+    return amp
 
 
 def steering_correlation_exact(delta: Displacement, array: ArrayConfig,

@@ -151,9 +151,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     rows = rate_sweep(eps, scene, array, snrs, cfg.get("sweep", "l_list"),
                       n_rays=cfg.get("solver", "dnec_rays"),
                       tol=cfg.get("solver", "dnec_tol_m"))
+    lstar_rows = lstar_sweep(eps, scene, array, snrs)  # both or neither file
     _write_table(out / "rate_sweep.csv", cfg, RatePoint, rows)
-    _write_table(out / "lstar.csv", cfg, LstarPoint,
-                 lstar_sweep(eps, scene, array, snrs))
+    _write_table(out / "lstar.csv", cfg, LstarPoint, lstar_rows)
     if not all(r.sandwich_ok for r in rows):
         print("sandwich violation: achievable rate exceeds a converse", file=sys.stderr)
         return EXIT_INVARIANT

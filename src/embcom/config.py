@@ -97,6 +97,22 @@ def _convert(section: str, key: str, raw: str):
         raise ValueError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
 
 
+def _one_line(exc: configparser.Error) -> str:
+    """configparser's complaint as "<reason> (line N)", in its own words but
+    without the further lines on which it repeats the file name and quotes
+    the raw line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"File contains no section headers (line {exc.lineno})"
+    if isinstance(exc, configparser.ParsingError):
+        return ("Source contains parsing errors: not a [section] or key = value "
+                f"line (line {exc.errors[0][0]})")
+    if isinstance(exc, configparser.DuplicateOptionError):
+        what = f"option {exc.option!r} in section {exc.section!r}"
+    else:  # DuplicateSectionError, the last error a read raises
+        what = f"section {exc.section!r}"
+    return f"While reading: {what} already exists (line {exc.lineno})"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of one run, resolved against the schema defaults."""
@@ -153,7 +169,7 @@ def load_config(path: str | None = None,
             if not parser.read(path):
                 raise OSError(f"config file not found: {path}")
         except configparser.Error as exc:
-            raise ValueError(f"bad config file {path}: {exc}") from None
+            raise ValueError(f"bad config file {path}: {_one_line(exc)}") from None
         for sec in parser.sections():
             if sec not in _SCHEMA:
                 raise ValueError(f"unknown config section [{sec}] in {path}")

@@ -194,21 +194,28 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
                                     np.outer(sin_psi, radii), array, scenes[0])
     best = np.empty((len(scenes), len(targets)))
     for row, scene in zip(best, scenes):
-        # running maximum along each ray: its count of entries below a
-        # threshold is the index of the ray's first coarse crossing
-        # (n_steps + 1: none)
-        run_max = _exponent(eta, scene)
-        np.maximum.accumulate(run_max, axis=1, out=run_max)
-        first = np.array([np.count_nonzero(run_max < t, axis=1) for t in targets],
-                         dtype=np.intp).reshape(len(targets), n_rays)
+        # a ray's first coarse crossing of a threshold is its first entry at
+        # or above it; the smallest over the rays, k_min, is the first entry
+        # of the running maximum of the column maxima at or above it
+        # (n_steps + 1: no ray crosses)
+        b = _exponent(eta, scene)
+        k_min = np.searchsorted(np.maximum.accumulate(b.max(axis=0)), targets)
+        unbounded = np.count_nonzero(b.max(axis=1)[:, None] < targets, axis=0)
+        # only the rays that first cross at k_min can set the minimum: a ray
+        # first crossing at k > k_min keeps hi > radii[k - 1] >= radii[k_min],
+        # where every k_min ray's hi starts.  No ray reaches a threshold
+        # before its k_min, so those rays are the ones at or above it there.
+        crosses = k_min <= n_steps
+        at_k_min = np.zeros((len(targets), n_rays), dtype=bool)
+        at_k_min[crosses] = b[:, k_min[crosses]].T >= targets[crosses, None]
         # free the grid before the bisection allocates: kept until then, it
         # ends up under small arrays and stays resident, raising peak RSS
-        del run_max
+        del b
 
-        # bisect every crossing (L, ray) pair together, each until its own
-        # bracket is within tol or its ends are adjacent floats
-        li, ri = np.nonzero(first <= n_steps)
-        k = first[li, ri]
+        # bisect those (L, ray) pairs together, each until its own bracket
+        # is within tol or its ends are adjacent floats
+        li, ri = np.nonzero(at_k_min)
+        k = k_min[li]
         lo, hi = radii[k - 1], radii[k]
         c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
         act = np.nonzero(hi - lo > tol)[0]
@@ -221,12 +228,11 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
             lo[act] = np.where(up, lo[act], mid)
             act = act[hi[act] - lo[act] > tol]
 
-        per_ray = np.full(first.shape, np.inf)
-        per_ray[li, ri] = hi
-        row[:] = per_ray.min(axis=1)
-        for l, unbounded in zip(ls, np.count_nonzero(first > n_steps, axis=1)):
-            if unbounded:
-                _warn(f"{unbounded}/{n_rays} rays never reach the necessary "
+        row[:] = np.inf
+        np.minimum.at(row, li, hi)
+        for l, n_unbounded in zip(ls, unbounded):
+            if n_unbounded:
+                _warn(f"{n_unbounded}/{n_rays} rays never reach the necessary "
                       f"threshold within the plane diameter at "
                       f"gamma0={scene.snr_gamma0:.6g}, at L={l} (degenerate "
                       "or SNR-starved axis)")

@@ -20,6 +20,11 @@ from .field import necessary_separations
 __all__ = ["RatePoint", "BoundPoint", "LstarPoint", "rate_sweep", "bound_sweep",
            "lstar_sweep", "closed_form_lstar_int", "exhaustive_closed_form_lstar"]
 
+# the exhaustive L* check evaluates the closed-form rate at about 4 us per L,
+# and L* grows about 100x per -10 dB on the default scene (2e6 at -20 dB,
+# 2e14 at -60 dB): this many L values take seconds, and -60 dB would never end
+_MAX_EXHAUSTIVE_L = 10 ** 6
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -162,9 +167,13 @@ def closed_form_lstar_int(eps: float, scene: SceneConfig, array: ArrayConfig) ->
 def exhaustive_closed_form_lstar(eps: float, scene: SceneConfig,
                                  array: ArrayConfig) -> int:
     """Argmax of the smooth closed-form rate over L = 1..max(10, ceil(3 L*)
-    + 10), L* the stationary point (ties to the smaller L)."""
+    + 10), L* the stationary point (ties to the smaller L).  A range of more
+    than _MAX_EXHAUSTIVE_L values is rejected."""
     l_cont = stationary_snapshots(eps, scene, array)
     l_hi = max(10, int(math.ceil(3 * l_cont)) + 10)
+    if l_hi > _MAX_EXHAUSTIVE_L:
+        raise ValueError(f"the exhaustive L* check would scan L = 1..{l_hi:.3g}, "
+                         f"more than {_MAX_EXHAUSTIVE_L} values")
     best_l, best_r = 1, -1.0
     for l in range(1, l_hi + 1):
         r = closed_form_rate(l, eps, scene, array)
@@ -182,8 +191,12 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     for db in _sweep_lists(snr_db_list=snr_db_list)[0]:
         g0 = db_to_linear(db)
         scene = scene_template.with_snr(g0)
+        try:
+            exhaustive = exhaustive_closed_form_lstar(eps, scene, array)
+        except ValueError as exc:
+            raise ValueError(f"sweep.snr_db_list: at {db:g} dB {exc}") from None
         l_cont, l_int = optimal_snapshots(eps, scene, array)
         rows.append(LstarPoint(db, g0, l_cont, l_int,
                                closed_form_lstar_int(eps, scene, array),
-                               exhaustive_closed_form_lstar(eps, scene, array)))
+                               exhaustive))
     return rows

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from embcom.arrays import (ArrayConfig, Displacement, Position, SceneConfig,
-                           steering_correlation_exact, steering_matrix,
-                           steering_vector)
+                           _dirichlet_sq, steering_correlation_exact,
+                           steering_matrix, steering_vector)
 from embcom.bounds import support_grid_atoms
 
 
@@ -106,3 +106,32 @@ def test_eta_symmetry_period_range(ref_array, ref_scene):
         shifted = Displacement(d.dy + period, d.dz - period)
         assert e == pytest.approx(
             steering_correlation_exact(shifted, ref_array, ref_scene), abs=1e-9)
+
+
+def sinc_kernel(delta, m, distance_d):
+    """The squared Dirichlet kernel through np.sinc, u folded into [-1/2, 1/2]."""
+    u = np.asarray(delta, dtype=float) / (2.0 * distance_d)
+    u = u - np.round(u)
+    return (np.sinc(m * u) / np.sinc(u)) ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 64])
+def test_dirichlet_kernel_is_the_sinc_form_bytewise(m):
+    # M = 7 is not a power of two, so (M u) pi and u (M pi) can differ
+    d = 100.0
+    rng = np.random.default_rng(m)
+    inputs = [
+        rng.uniform(-3.0, 3.0, 1000), rng.normal(0.0, 400.0, (37, 11)),
+        np.array([0.0, -0.0, 2 * d, -2 * d, 6 * d, 1e-300, -1e-300, 5e-324,
+                  np.nan, np.inf, -np.inf, d, 2 * d / m, 1e300]),
+        np.empty((0, 3)), 0.7, -0.0, 1e-300, np.array(0.3), np.array(-0.0),
+        np.array(np.nan), np.float64(4 * d), [0.25, -0.5],
+    ]
+    with np.errstate(invalid="ignore"):  # inf - inf in the fold
+        for x in inputs:
+            before = np.array(x, copy=True)
+            got, want = _dirichlet_sq(x, m, d), sinc_kernel(x, m, d)
+            assert type(got) is type(want)  # a numpy scalar for scalar input
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+            np.testing.assert_array_equal(np.asarray(x), before)  # not written

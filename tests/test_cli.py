@@ -1,11 +1,14 @@
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from embcom import bounds, field, sweep
+from embcom.arrays import db_to_linear
+from embcom.bounds import stationary_snapshots
 from embcom.cli import main
 from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import _RULES, _SCHEMA, load_config
@@ -545,10 +548,13 @@ def test_file_line_means_its_set_line(tmp_path, dotted, text):
     ("[scene]\nsnr_db = 20\n[DEFAULT]\nm_z = 4\n",
      "unknown config section [DEFAULT] in {ini}"),
     ("[array]\nM_Y = 8\n", "unknown config key array.M_Y"),
-    ("m_y = 8\n", "bad config file {ini}: File contains no section headers"),
-    ("[array]\nm_y = 8\nm_y = 9\n", "bad config file {ini}: While reading"),
-    ("[array]\nm_y = 8\n[array]\nm_z = 4\n", "bad config file {ini}: While reading"),
-    ("[array]\nm_y\n", "bad config file {ini}: Source contains parsing errors")],
+    ("m_y = 8\n", "bad config file {ini}: File contains no section headers (line 1)"),
+    ("[array]\nm_y = 8\nm_y = 9\n", "bad config file {ini}: While reading: "
+     "option 'm_y' in section 'array' already exists (line 3)"),
+    ("[array]\nm_y = 8\n[array]\nm_z = 4\n", "bad config file {ini}: While "
+     "reading: section 'array' already exists (line 3)"),
+    ("[array]\nm_y\n", "bad config file {ini}: Source contains parsing errors: "
+     "not a [section] or key = value line (line 2)")],
     ids=["default-alone", "default-and-array", "default-after-scene", "key-case",
          "no-section-header", "key-twice", "section-twice", "no-equals"])
 def test_bad_config_file_exits_1_and_writes_nothing(tmp_path, capsys, text, message):
@@ -556,7 +562,9 @@ def test_bad_config_file_exits_1_and_writes_nothing(tmp_path, capsys, text, mess
     ini.write_text(text)
     out = tmp_path / "out"
     assert main(["--config", str(ini), "--out", str(out), "field"]) == 1
-    assert capsys.readouterr().err.startswith("error: " + message.format(ini=ini))
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(ini=ini))
+    assert err.count("\n") == 1 and err.endswith("\n")  # one line
     assert not out.exists()
 
 
@@ -575,6 +583,38 @@ def test_sweep_cores_name_the_epsilon_key(fn):
     cfg = load_config()
     with pytest.raises(ValueError, match=r"^design\.epsilon must be in \(0, 1/2\)"):
         fn(0.5, cfg.scene, cfg.array, [20.0], [5])
+
+
+@pytest.mark.parametrize("command", ["lstar", "sweep"])
+@pytest.mark.parametrize("db", ["-20", "-60"])
+def test_low_snr_lstar_range_rejected(tmp_path, capsys, command, db):
+    # L* grows about 100x per -10 dB: the exhaustive check would scan 5.9e6
+    # L values at -20 dB and 5.85e14 at -60 dB
+    assert run(tmp_path, "--set", f"sweep.snr_db_list=20,{db}", command) == 1
+    assert re.fullmatch(rf"error: sweep\.snr_db_list: at {db} dB the exhaustive "
+                        r"L\* check would scan L = 1\.\.\S+, more than 1000000 "
+                        r"values\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []  # sweep writes neither table
+
+
+def _exhaustive_range(scene, cfg):
+    return max(10, math.ceil(3 * stationary_snapshots(cfg.eps, scene, cfg.array)) + 10)
+
+
+def test_exhaustive_lstar_range_limit(monkeypatch):
+    cfg = load_config()
+    l_hi = _exhaustive_range(cfg.scene, cfg)
+    monkeypatch.setattr(sweep, "_MAX_EXHAUSTIVE_L", l_hi)
+    assert sweep.exhaustive_closed_form_lstar(cfg.eps, cfg.scene, cfg.array) >= 1
+    monkeypatch.setattr(sweep, "_MAX_EXHAUSTIVE_L", l_hi - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"would scan L = 1..{l_hi:.3g}, more than {l_hi - 1} values")):
+        sweep.exhaustive_closed_form_lstar(cfg.eps, cfg.scene, cfg.array)
+    monkeypatch.undo()
+    # -15 dB still runs
+    low = cfg.scene.with_snr(db_to_linear(-15.0))
+    assert _exhaustive_range(low, cfg) <= sweep._MAX_EXHAUSTIVE_L < _exhaustive_range(
+        cfg.scene.with_snr(db_to_linear(-20.0)), cfg)
 
 
 def test_lstar_accepts_epsilon_above_half(tmp_path):

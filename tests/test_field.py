@@ -230,6 +230,8 @@ def dnec_reference(eps, l, array, scene, n_rays=720, tol=1e-5):
         c, s = np.cos(psi[i]), np.sin(psi[i])
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: tol 0 stops here
+                break
             if bhattacharyya_grid(mid * c, mid * s, array, scene) >= b_target:
                 hi = mid
             else:
@@ -238,11 +240,12 @@ def dnec_reference(eps, l, array, scene, n_rays=720, tol=1e-5):
     return float(best), unbounded
 
 
-def check_against_reference(ls, array, scene, n_rays=720):
+def check_against_reference(ls, array, scene, n_rays=720, tol=1e-5):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = necessary_separations(1e-3, ls, array, (scene,), n_rays=n_rays)[0]
-    ref = [dnec_reference(1e-3, l, array, scene, n_rays) for l in ls]
+        got = necessary_separations(1e-3, ls, array, (scene,), n_rays=n_rays,
+                                    tol=tol)[0]
+    ref = [dnec_reference(1e-3, l, array, scene, n_rays, tol) for l in ls]
     assert got.shape == (len(ls),)
     assert got.tolist() == [d for d, _ in ref]  # exact, inf == inf
     reported = {}
@@ -259,6 +262,16 @@ def check_against_reference(ls, array, scene, n_rays=720):
 def test_batched_dnec_matches_reference_over_l_list(ref_array, ref_scene, snr_db):
     check_against_reference(DEFAULT_L_LIST, ref_array,
                             ref_scene.with_snr(10.0 ** (snr_db / 10.0)))
+
+
+@pytest.mark.parametrize("tol, n_rays", [(1e-5, 360), (0.0, 90)])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_batched_dnec_matches_reference_at_20_m(ref_array, snr_db, tol, n_rays):
+    # the plane spans about three y-lobes at 20 m, so rays rise and fall and
+    # many first cross after the earliest ray of their L; the scalar
+    # reference takes seconds per SNR at 720 rays
+    scene = SceneConfig(20.0, 2.0, 2.0, 10.0 ** (snr_db / 10.0))
+    check_against_reference(DEFAULT_L_LIST, ref_array, scene, n_rays, tol)
 
 
 def test_batched_dnec_matches_reference_degenerate_axis(ref_scene):
@@ -373,3 +386,44 @@ def test_dnec_rejects_bad_tolerance(capped_field, ref_array, ref_scene, tol):
     with pytest.raises(ValueError, match="tol must be >= 0"):
         necessary_separation_dnec(1e-3, 5, ref_array, ref_scene.with_snr(100.0),
                                   n_rays=90, tol=tol)
+
+
+@pytest.mark.parametrize("distance", [20.0, 100.0])
+def test_bisection_starts_with_the_earliest_crossing_rays(call_log, ref_array,
+                                                          distance):
+    # per SNR and L, only the rays that first cross in the earliest coarse
+    # cell k_min over all rays are bisected: the first bisection call of each
+    # SNR holds exactly their (L, ray) pairs, at the midpoint of that cell
+    scenes = [SceneConfig(distance, 2.0, 2.0, 10.0 ** (db / 10.0))
+              for db in SNRS_DB]
+    radii = np.linspace(0.0, math.hypot(2.0, 2.0), 513)
+    psi = np.linspace(0.0, np.pi, 90, endpoint=False)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    expected, n_crossing = {}, 0
+    for scene in scenes:
+        coarse = bhattacharyya_grid(np.outer(cos_psi, radii),
+                                    np.outer(sin_psi, radii), ref_array, scene)
+        pairs = []
+        for l in DEFAULT_L_LIST:
+            crossed = coarse >= b_necessary(1e-3, l)
+            rays = np.nonzero(crossed.any(axis=1))[0]
+            n_crossing += rays.size
+            if rays.size == 0:
+                continue
+            first = crossed[rays].argmax(axis=1)
+            k_min = first.min()
+            mid = 0.5 * (radii[k_min - 1] + radii[k_min])
+            pairs += [(mid * cos_psi[i], mid * sin_psi[i])
+                      for i in rays[first == k_min]]
+        if pairs:
+            expected[scene.snr_gamma0] = sorted(pairs)
+    assert sum(map(len, expected.values())) < n_crossing  # rays are pruned
+
+    calls = call_log(field, "bhattacharyya_grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        necessary_separations(1e-3, DEFAULT_L_LIST, ref_array, scenes, n_rays=90)
+    got = {}
+    for dy, dz, _, scene in calls:
+        got.setdefault(scene.snr_gamma0, sorted(zip(dy.tolist(), dz.tolist())))
+    assert got == expected
