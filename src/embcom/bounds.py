@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig, _warn, steering_matrix
-from .codebook import _hexagonal_size_cont, hexagonal_design, xi_h_factor
+from .codebook import _hexagonal_size_cont, hexagonal_designs, xi_h_factor
 from .field import dnec_mainlobe
 
 __all__ = [
@@ -202,15 +202,16 @@ def optimal_snapshots(eps: float, scene: SceneConfig,
 
     The continuous optimum is stationary_snapshots.  The integer value
     re-evaluates the exact hexagonal-design rate on every integer within 2
-    of the stationary point (clamped to L >= 1); ties prefer the
-    smaller L.
+    of the stationary point (clamped to L >= 1), designed in one
+    hexagonal_designs call; ties prefer the smaller L.
     """
     l_cont = stationary_snapshots(eps, scene, array)
     lo = max(1, math.floor(l_cont) - 2)
     hi = max(1, math.ceil(l_cont) + 2)
+    ls = range(lo, hi + 1)
+    designs = hexagonal_designs(eps, [scene.with_snapshots(l) for l in ls], array)
     best_l, best_rate = lo, -1.0
-    for l in range(lo, hi + 1):
-        _, rep = hexagonal_design(eps, scene.with_snapshots(l), array)
+    for l, (_, rep) in zip(ls, designs):
         if rep.rate_bits_per_pulse > best_rate + 1e-15:
             best_l, best_rate = l, rep.rate_bits_per_pulse
     return float(l_cont), int(best_l)

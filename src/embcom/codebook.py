@@ -11,13 +11,15 @@ from itertools import chain, islice
 import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig
-from .field import (_exponent, axis_kernel, b_codebook, bhattacharyya_grid,
-                    field_ceiling, quadratic_params)
+from .field import (_check_shared_geometry, _exponent, _kappa, axis_kernel,
+                    b_codebook, bhattacharyya_grid, field_ceiling,
+                    quadratic_params)
 
 __all__ = [
     "Codebook", "DesignReport", "make_codebook", "verify_codebook",
-    "hexagonal_design", "lambert_w0", "greedy_packing_baseline", "xi_h_factor",
-    "hexagonal_size", "codebook_to_csv", "codebook_from_csv",
+    "hexagonal_design", "hexagonal_designs", "lambert_w0",
+    "greedy_packing_baseline", "xi_h_factor", "hexagonal_size",
+    "codebook_to_csv", "codebook_from_csv",
 ]
 
 
@@ -74,7 +76,7 @@ def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
         cols = pts[start + 1:]
         b = _exponent(axis_kernel(rows[:, 0], cols[:, 0], array.m_y, scene)
                       * axis_kernel(rows[:, 1], cols[:, 1], array.m_z, scene),
-                      scene)
+                      _kappa(scene.snr_gamma0))
         r = len(rows)
         b[:, :r][np.tri(r, k=-1, dtype=bool)] = math.inf  # k <= i
         i, k = divmod(int(b.argmin()), b.shape[1])
@@ -199,58 +201,88 @@ def hexagonal_size(eps: float, l: int, scene: SceneConfig,
     return int(math.floor(_hexagonal_size_cont(eps, l, scene, array)))
 
 
-_TREE_LEVELS = 8  # bisection levels per field call: 2^8 - 1 midpoints
+_FIELD_POINTS = 255  # midpoints per field call of the batched bisection
 
 
-def _invert_field_along(direction: np.ndarray, b_target: float,
-                        array: ArrayConfig, scene: SceneConfig) -> float | None:
-    """Smallest radius t with B(t * direction) >= b_target, or None when the
-    target is unreachable before a kernel null along either axis.
+def _tree_levels(n: int) -> int:
+    """Bisection levels per field call for n targets: the most whole levels
+    whose 2^d - 1 midpoints per target fit in _FIELD_POINTS, at least one."""
+    return max(1, (_FIELD_POINTS // n + 1).bit_length() - 1)
 
-    Bisection on [0, hi] for at most 80 steps, stopping once the bracket's
-    ends are adjacent floats.  One field call evaluates all 2^d - 1 midpoints
-    of the next d = _TREE_LEVELS levels of the bisection tree, each built
-    with the step-by-step arithmetic 0.5 * (lo + hi); the walk down the tree
-    takes the step-by-step decisions, so the result is the step-by-step
-    bisection's.
+
+def _invert_field_along(directions, b_targets, kappas, array: ArrayConfig,
+                        scene: SceneConfig) -> list[float | None]:
+    """For each target i, the smallest radius t with B(t * directions[i]) >=
+    b_targets[i], B the field at kappa = kappas[i] over the geometry of
+    ``scene``, or None when that target is unreachable before a kernel null
+    along either axis.
+
+    Each result is, bit for bit, the target's own bisection on [0, hi] of at
+    most 80 steps that stops once the bracket's ends are adjacent floats.
+    The targets bisect together: while n of them are still bisecting, one
+    field call evaluates, for each, all 2^d - 1 midpoints of the next d =
+    _tree_levels(n) levels of its bisection tree, each built with the
+    step-by-step arithmetic 0.5 * (lo + hi), and the walk down each tree
+    takes the step-by-step decisions.  A single target takes 8 levels per
+    call, so at most 11 calls; n targets take at most 1 + ceil(80 / d).
     """
-    c, s = direction
-    limits = []
-    if abs(c) > 0:
-        limits.append(2.0 * scene.distance_d / array.m_y / abs(c))
-    if abs(s) > 0:
-        limits.append(2.0 * scene.distance_d / array.m_z / abs(s))
-    hi = min(limits) * (1.0 - 1e-12)
-
-    if bhattacharyya_grid(hi * c, hi * s, array, scene) < b_target:
-        return None
-    lo = 0.0
+    d = np.asarray(directions, dtype=float)
+    t = np.asarray(b_targets, dtype=float)
+    kappa = np.asarray(kappas, dtype=float)
+    c, s = d[:, 0], d[:, 1]
+    # the bracket's far end: just short of the first kernel null along an
+    # axis the direction moves along
+    hi = [min(2.0 * scene.distance_d / m / abs(x)
+              for m, x in ((array.m_y, cy), (array.m_z, cz)) if abs(x) > 0)
+          * (1.0 - 1e-12) for cy, cz in d.tolist()]
+    found = (~(bhattacharyya_grid(np.multiply(hi, c), np.multiply(hi, s), array,
+                                  scene, kappa) < t)).tolist()
+    lo = [0.0] * len(hi)
+    act = [i for i, ok in enumerate(found) if ok]  # the targets still bisecting
     steps = 80
-    while steps:
-        levels = min(_TREE_LEVELS, steps)
+    edges = None
+    while act and steps:
+        if edges is None:  # a new active set: its values and its tree buffer
+            idx = np.array(act)[:, None]
+            c_act, s_act, kappa_act, t_act = c[idx], s[idx], kappa[idx], t[idx]
+            levels = _tree_levels(len(act))
+            w = 1 << levels
+            # row k holds target act[k]'s bracket ends at 0 and w and every
+            # midpoint of its tree between them, in order; padding the rows
+            # to 2w makes each level one strided slice of the flat buffer
+            edges = np.zeros((len(act), 2 * w))
+            edges[:, :w + 1:w] = [[lo[i], hi[i]] for i in act]
+            flat = edges.reshape(-1)
+            values = memoryview(flat)  # reads and writes Python floats in place
+        levels = min(levels, steps)
         steps -= levels
-        # split every bracket at its midpoint, level by level: the sorted
-        # edges then hold the bracket ends and every midpoint of the tree
-        edges = np.array([lo, hi])
-        for _ in range(levels):
-            finer = np.empty(2 * edges.size - 1)
-            finer[::2] = edges
-            finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
-            edges = finer
-        inner = edges[1:-1]
-        up = (bhattacharyya_grid(inner * c, inner * s, array, scene)
-              >= b_target).tolist()
-        a, b = 0, edges.size - 1  # the bracket as indices into edges
-        for _ in range(levels):
-            m = (a + b) // 2
-            mid = float(edges[m])
-            if mid == lo or mid == hi:  # adjacent floats: the bracket is final
-                return hi
-            if up[m - 1]:
-                hi, b = mid, m
+        k = w
+        while k > 1:  # split every bracket at its midpoint, level by level
+            flat[k // 2:-k:k] = 0.5 * (flat[:-k:k] + flat[k::k])
+            k //= 2
+        inner = edges[:, 1:w]
+        up = memoryview((bhattacharyya_grid(inner * c_act, inner * s_act, array,
+                                            scene, kappa_act) >= t_act).reshape(-1))
+        going = []
+        for row, i in enumerate(act):
+            at, up_at = 2 * w * row, (w - 1) * row - 1  # offsets into flat, up
+            a, b, x, y = 0, w, lo[i], hi[i]  # the bracket, as indices and values
+            for _ in range(levels):
+                m = (a + b) // 2
+                mid = values[at + m]
+                if mid == x or mid == y:
+                    break  # adjacent floats: the bracket is final
+                if up[up_at + m]:
+                    b, y = m, mid
+                else:
+                    a, x = m, mid
             else:
-                lo, a = mid, m
-    return hi
+                going.append(i)
+            lo[i] = values[at] = x  # the next tree's ends
+            hi[i] = values[at + w] = y
+        if len(going) < len(act):
+            act, edges = going, None
+    return [x if ok else None for x, ok in zip(hi, found)]
 
 
 def _whitened_hex_codebook(spacing_w: float, rotation: float,
@@ -280,59 +312,104 @@ def _trim_to(pts: np.ndarray, j_target: int, transform: np.ndarray) -> np.ndarra
     return pts[np.sort(order[:j_target])]
 
 
+def _back_off(j: int) -> list[int]:
+    """The target sizes a design tries after j fails, in order: 5% fewer
+    each time (at least one fewer), down to 2."""
+    out = []
+    while (j := min(j - 1, int(math.floor(0.95 * j)))) >= 2:
+        out.append(j)
+    return out
+
+
 def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
                      rotation: float = 0.0,
                      offset_w: tuple[float, float] = (0.0, 0.0),
                      ) -> tuple[Codebook, DesignReport]:
     """Hexagonal lattice codebook in the whitened plane, sized by the
-    Lambert-W closed form and verified against the exact field.
+    Lambert-W closed form and verified against the exact field: the one-scene
+    case of hexagonal_designs."""
+    return hexagonal_designs(eps, (scene,), array, rotation, offset_w)[0]
 
-    The lattice spacing is the radius at which the exact field (not its
-    quadratic surrogate) reaches the codebook threshold along the first basis
-    direction; this keeps the emitted whitened minimum distance at or above
-    sqrt(B_J) while making exact verification attainable.  If the emitted set
-    fails the exact check the target size backs off by 5% (at least 1) and the
-    lattice is rebuilt; if even two words cannot be verified the center-point
-    codebook is returned.
+
+def hexagonal_designs(eps: float, scenes, array: ArrayConfig,
+                      rotation: float = 0.0,
+                      offset_w: tuple[float, float] = (0.0, 0.0),
+                      ) -> list[tuple[Codebook, DesignReport]]:
+    """The hexagonal design of every scene in ``scenes``, in order; the
+    scenes must share distance_d, extent_y and extent_z.
+
+    A design's lattice spacing is the radius at which the exact field (not
+    its quadratic surrogate) reaches the codebook threshold along the first
+    basis direction; this keeps the emitted whitened minimum distance at or
+    above sqrt(B_J) while making exact verification attainable.  If the
+    emitted set fails the exact check the target size backs off by 5% (at
+    least 1) and the lattice is rebuilt; if even two words cannot be
+    verified the center-point codebook is returned.
+
+    The field inversions run batched (_invert_field_along): first every
+    scene's first target size, then, for each scene whose first size failed,
+    every size of its back-off ladder down to 2, known up front.  Each
+    scene then builds and verifies those sizes in order until one passes, so
+    every design is the one a scene-at-a-time back-off finds, bit for bit.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if array.m_y < 2 or array.m_z < 2:
         raise ValueError("hexagonal design requires at least 2 elements per axis")
-    l = scene.snapshots_l
-    params = quadratic_params(array, scene)
-    transform = params.transform_t
-
-    j_cont = _hexagonal_size_cont(eps, l, scene, array)
-
-    # whitened first-basis direction, mapped to the physical plane
+    scenes = tuple(scenes)
+    if not scenes:
+        return []
+    _check_shared_geometry(scenes, "design batch")
     u_w = np.array([math.cos(rotation), math.sin(rotation)])
-    d_phys = np.linalg.solve(transform, u_w)
-    d_phys /= np.linalg.norm(d_phys)
-    t_gain = float(np.linalg.norm(transform @ d_phys))
+    offset = np.asarray(offset_w)
+    transforms, directions, gains, firsts = [], [], [], []
+    # a threshold at or above a scene's ceiling is never reached
+    ceilings = [field_ceiling(sc) for sc in scenes]
+    for sc in scenes:
+        transform = quadratic_params(array, sc).transform_t
+        # whitened first-basis direction, mapped to the physical plane
+        d_phys = np.linalg.solve(transform, u_w)
+        d_phys /= np.linalg.norm(d_phys)
+        transforms.append(transform)
+        directions.append(d_phys)
+        gains.append(float(np.linalg.norm(transform @ d_phys)))
+        firsts.append(max(2, int(math.floor(_hexagonal_size_cont(
+            eps, sc.snapshots_l, sc, array)))))
 
-    j_target = max(2, int(math.floor(j_cont)))
-    ceiling = field_ceiling(scene)
-    while j_target >= 2:
-        b_thr = b_codebook(j_target, eps, l)
-        if b_thr < ceiling:
-            s_phys = _invert_field_along(d_phys, b_thr * (1.0 + 1e-9), array, scene)
-        else:
-            s_phys = None
-        if s_phys is not None:
-            spacing_w = s_phys * t_gain
-            pts = _whitened_hex_codebook(spacing_w, rotation,
-                                         np.asarray(offset_w), transform, scene)
-            pts = _trim_to(pts, j_target, transform)
+    designs = [None] * len(scenes)
+    # every scene's first size, then the rest of each failed scene's ladder
+    for first in (True, False):
+        tries = [(i, j) for i, j0 in enumerate(firsts) if designs[i] is None
+                 for j in ([j0] if first else _back_off(j0))]
+        targets = {}
+        for i, j in tries:
+            b_thr = b_codebook(j, eps, scenes[i].snapshots_l)
+            if b_thr < ceilings[i]:
+                targets[i, j] = b_thr * (1.0 + 1e-9)
+        if not targets:
+            continue
+        spacings = dict(zip(targets, _invert_field_along(
+            [directions[i] for i, _ in targets], list(targets.values()),
+            [_kappa(scenes[i].snr_gamma0) for i, _ in targets], array, scenes[0])))
+        for i, j in tries:
+            s_phys = spacings.get((i, j))
+            if designs[i] is not None or s_phys is None:
+                continue
+            sc, transform = scenes[i], transforms[i]
+            spacing_w = s_phys * gains[i]
+            pts = _trim_to(_whitened_hex_codebook(spacing_w, rotation, offset,
+                                                  transform, sc), j, transform)
             if len(pts) >= 2:
-                cb = make_codebook(pts, array, scene)
-                rep = verify_codebook(cb, eps, scene, array)
+                cb = make_codebook(pts, array, sc)
+                rep = verify_codebook(cb, eps, sc, array)
                 if rep.feasible:
-                    return cb, replace(rep, whitened_spacing=spacing_w)
-        j_target = min(j_target - 1, int(math.floor(0.95 * j_target)))
+                    designs[i] = cb, replace(rep, whitened_spacing=spacing_w)
 
-    cb = make_codebook([(0.0, 0.0)], array, scene)
-    return cb, verify_codebook(cb, eps, scene, array)
+    for i, sc in enumerate(scenes):
+        if designs[i] is None:
+            cb = make_codebook([(0.0, 0.0)], array, sc)
+            designs[i] = cb, verify_codebook(cb, eps, sc, array)
+    return designs
 
 
 # --- greedy packing baseline -------------------------------------------------
@@ -364,6 +441,7 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
     zs = -hz + candidate_grid_step * np.arange(int(nz))
     e_y = axis_kernel(ys, ys, array.m_y, scene)  # e_y[a, b] = e_y(ys[a] - ys[b])
     e_z = axis_kernel(zs, zs, array.m_z, scene)
+    kappa = _kappa(scene.snr_gamma0)
 
     # each candidate's smallest exponent to the points accepted so far
     nearest = np.full((len(ys), len(zs)), math.inf)
@@ -378,7 +456,7 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
         iy, iz = divmod(p, len(zs))
         acc.append((ys[iy], zs[iz]))
         b_new.append(nearest[iy, iz])
-        np.minimum(nearest, _exponent(e_y[:, iy, None] * e_z[:, iz], scene),
+        np.minimum(nearest, _exponent(e_y[:, iy, None] * e_z[:, iz], kappa),
                    out=nearest)
         p += 1
 

@@ -18,6 +18,9 @@ _RULES = {
     ">= 0": lambda v: v >= 0,
     ">= 0 and finite": lambda v: 0 <= v < math.inf,
     ">= 1": lambda v: v >= 1,
+    ">= 1 and <= 512": lambda v: 1 <= v <= 512,
+    ">= 1 and <= 8192": lambda v: 1 <= v <= 8192,
+    ">= 2 and <= 4194304": lambda v: 2 <= v <= 4194304,
     ">= 2": lambda v: v >= 2,
     ">= 100": lambda v: v >= 100,
     "finite": math.isfinite,
@@ -33,6 +36,10 @@ def _list(convert):
     """Converter of a comma-separated list; blank entries are dropped."""
     return lambda raw: tuple(convert(p) for p in map(str.strip, raw.split(",")) if p)
 
+
+# points of the field command's n x n grid (its profile has the same cap,
+# as a rule): more take GBs, and 10^7 x 10^7 fails to allocate at all
+_MAX_FIELD_GRID = 1 << 22
 
 # section -> key -> (converter, default, rule); a None default means the key
 # is optional, and a list key's rule holds for each entry
@@ -66,9 +73,14 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
                    ">= 1"),
     },
     "solver": {
-        "dnec_rays": (int, 720, ">= 1"),
+        # caps on grid sizes, where a larger value takes GBs or fails to
+        # allocate: a ray search's coarse grid is dnec_rays x 513 field
+        # values, about 2^22 at the cap, and bounds refines the support grid
+        # to (2 n - 1)^2 atoms, about 2^20, each of whose Frank-Wolfe rows
+        # holds that many complex values
+        "dnec_rays": (int, 720, ">= 1 and <= 8192"),
         "dnec_tol_m": (float, 1e-5, ">= 0 and finite"),
-        "support_grid_n": (int, 41, ">= 1"),
+        "support_grid_n": (int, 41, ">= 1 and <= 512"),
         "fw_iters": (int, 400, ">= 1"),  # FW needs one iteration for a gap
         "fw_gap_tol_bits": (float, 1e-6, ">= 0 and finite"),
     },
@@ -80,9 +92,9 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
     "field": {
         "grid_half_y_m": (float, 2.0, "finite and > 0"),
         "grid_half_z_m": (float, 2.0, "finite and > 0"),
-        "grid_points": (int, 81, ">= 2"),
+        "grid_points": (int, 81, ">= 2"),  # and at most _MAX_FIELD_GRID points
         "profile_radius_m": (float, 0.5, "finite and > 0"),
-        "profile_points": (int, 360, ">= 2"),
+        "profile_points": (int, 360, ">= 2 and <= 4194304"),
     },
     "output": {
         "directory": (str, "out", None),
@@ -193,6 +205,10 @@ def load_config(path: str | None = None,
             for x in v if isinstance(v, tuple) else (v,):
                 if not _RULES[rule](x):
                     raise ValueError(f"{sec}.{key} must be {rule}, got {x}")
+    n = values["field"]["grid_points"]  # counted before any grid is built
+    if n * n > _MAX_FIELD_GRID:
+        raise ValueError(f"field.grid_points: a {n} x {n} grid is more than "
+                         f"{_MAX_FIELD_GRID} points")
     cfg = RunConfig(values)
     cfg.scene  # the checks that span keys: far-field ratio, snr_db xor snr_gamma0
     return cfg

@@ -44,14 +44,26 @@ def bhattacharyya_exact(delta: Displacement, array: ArrayConfig,
 
 
 def bhattacharyya_grid(dy: np.ndarray, dz: np.ndarray, array: ArrayConfig,
-                       scene: SceneConfig) -> np.ndarray:
-    """Vectorized exact field over broadcastable displacement arrays."""
-    return _exponent(steering_correlation_grid(dy, dz, array, scene), scene)
+                       scene: SceneConfig, kappa=None) -> np.ndarray:
+    """Vectorized exact field over broadcastable displacement arrays.  A
+    ``kappa`` broadcastable with them replaces the scene's, which then gives
+    only the geometry: one call serves scenes that differ in SNR."""
+    if kappa is None:
+        kappa = _kappa(scene.snr_gamma0)
+    return _exponent(steering_correlation_grid(dy, dz, array, scene), kappa)
 
 
-def _exponent(eta, scene: SceneConfig):
-    """The field log(1 + kappa (1 - eta)) from the steering correlation eta."""
-    return np.log1p(_kappa(scene.snr_gamma0) * (1.0 - eta))
+def _exponent(eta, kappa):
+    """The field log(1 + kappa (1 - eta)) from the steering correlation eta,
+    kappa a float or an array broadcastable with eta."""
+    return np.log1p(kappa * (1.0 - eta))
+
+
+def _check_shared_geometry(scenes, what: str) -> None:
+    """Reject scenes that differ in distance_d, extent_y or extent_z."""
+    if len({(sc.distance_d, sc.extent_y, sc.extent_z) for sc in scenes}) > 1:
+        raise ValueError(f"the scenes of one {what} must share distance_d, "
+                         "extent_y and extent_z")
 
 
 def axis_kernel(a: np.ndarray, b: np.ndarray, m: int,
@@ -60,7 +72,7 @@ def axis_kernel(a: np.ndarray, b: np.ndarray, m: int,
     a[:, None] - b, bit for bit the factor bhattacharyya_grid takes there,
     with the kernel evaluated once per pair of distinct coordinates: a
     lattice's coordinates take few distinct values per axis.  The field of
-    those pairs is _exponent(y factor * z factor, scene)."""
+    those pairs is _exponent(y factor * z factor, kappa)."""
     (ua, ia), (ub, ib) = _distinct(a), _distinct(b)
     table = _dirichlet_sq(ua[:, None] - ub, m, scene.distance_d)
     return table.take(ia, axis=0).take(ib, axis=1)
@@ -181,11 +193,8 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
     if not scenes:
         return np.empty((0, len(targets)))
-    geometry = scenes[0].distance_d, scenes[0].extent_y, scenes[0].extent_z
-    if any((sc.distance_d, sc.extent_y, sc.extent_z) != geometry for sc in scenes):
-        raise ValueError("the scenes of one ray search must share distance_d, "
-                         "extent_y and extent_z")
-    r_max = float(np.hypot(geometry[1], geometry[2]))
+    _check_shared_geometry(scenes, "ray search")
+    r_max = float(np.hypot(scenes[0].extent_y, scenes[0].extent_z))
     psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     n_steps = 512
@@ -198,7 +207,7 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
         # or above it; the smallest over the rays, k_min, is the first entry
         # of the running maximum of the column maxima at or above it
         # (n_steps + 1: no ray crosses)
-        b = _exponent(eta, scene)
+        b = _exponent(eta, _kappa(scene.snr_gamma0))
         k_min = np.searchsorted(np.maximum.accumulate(b.max(axis=0)), targets)
         unbounded = np.count_nonzero(b.max(axis=1)[:, None] < targets, axis=0)
         # only the rays that first cross at k_min can set the minimum: a ray

@@ -14,7 +14,7 @@ from .bounds import (closed_form_rate, fano_bound, geo_bound_mainlobe,
                      info_bound_universal, optimal_snapshots, packing_rate,
                      snap_info_support, snap_info_universal,
                      stationary_snapshots)
-from .codebook import hexagonal_design
+from .codebook import hexagonal_designs
 from .field import necessary_separations
 
 __all__ = ["RatePoint", "BoundPoint", "LstarPoint", "rate_sweep", "bound_sweep",
@@ -79,18 +79,21 @@ def _sweep_lists(**lists) -> list[list]:
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
     report) for each L]).  One necessary-separation call covers the whole
-    SNR list, so one steering-correlation grid serves every SNR.  The
-    geometric converse's necessary threshold needs eps < 1/2."""
+    SNR list, so one steering-correlation grid serves every SNR, and one
+    hexagonal_designs call designs every (SNR, L) point.  The geometric
+    converse's necessary threshold needs eps < 1/2."""
     snr_db_list, l_list = _sweep_lists(snr_db_list=snr_db_list, l_list=l_list)
     if not 0 < eps < 0.5:
         raise ValueError("design.epsilon must be in (0, 1/2) for sweep and bounds, "
                          f"got {eps}")
     snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
-    for db, snr_scene, row in zip(snr_db_list, snr_scenes, d_necs):
-        scenes = [snr_scene.with_snapshots(int(l)) for l in l_list]
-        yield db, snr_scene, [(sc, d_nec, hexagonal_design(eps, sc, array)[1])
-                              for sc, d_nec in zip(scenes, row)]
+    scenes = [[sc.with_snapshots(int(l)) for l in l_list] for sc in snr_scenes]
+    designs = iter(hexagonal_designs(eps, [sc for row in scenes for sc in row],
+                                     array))
+    for db, snr_scene, row, d_nec_row in zip(snr_db_list, snr_scenes, scenes, d_necs):
+        yield db, snr_scene, [(sc, d_nec, next(designs)[1])
+                              for sc, d_nec in zip(row, d_nec_row)]
 
 
 def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
@@ -99,24 +102,29 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     """Hexagonal-design achievable rate with the universal information and
     geometric converses at every (gamma0, L) grid point.  Each row records
     whether the lower bound respects both converses and whether the rate is
-    monotone versus the previous SNR at the same L.  ``n_rays`` and ``tol``
-    set the necessary-separation ray search behind the geometric converse."""
+    monotone versus the nearest lower SNR of the list at the same L (true
+    at the lowest SNR).  ``n_rays`` and ``tol`` set the necessary-separation
+    ray search behind the geometric converse."""
+    points = [(db, scene, d_nec, rep)
+              for db, _, row in _design_points(eps, scene_template, array,
+                                               snr_db_list, l_list, n_rays, tol)
+              for scene, d_nec, rep in row]
+    rate = {(db, scene.snapshots_l): rep.rate_bits_per_pulse
+            for db, scene, _, rep in points}
+    dbs = sorted({db for db, _, _, _ in points})
+    lower_db = dict(zip(dbs[1:], dbs))  # each SNR's nearest lower one
     rows = []
-    prev_rate: dict[int, float] = {}
-    for db, _, points in _design_points(eps, scene_template, array, snr_db_list,
-                                        l_list, n_rays, tol):
-        for scene, d_nec, rep in points:
-            l = scene.snapshots_l
-            c_univ = info_bound_universal(eps, scene, array)
-            c_geo = packing_rate(d_nec, scene)
-            ok = (rep.rate_bits_per_second <= c_univ + 1e-12
-                  and rep.rate_bits_per_second <= c_geo + 1e-12)
-            mono = rep.rate_bits_per_pulse >= prev_rate.get(l, 0.0) - 1e-12
-            prev_rate[l] = rep.rate_bits_per_pulse
-            rows.append(RatePoint(db, scene.snr_gamma0, l, rep.j,
-                                  rep.rate_bits_per_pulse,
-                                  rep.rate_bits_per_second, rep.feasible,
-                                  c_univ, c_geo, ok, mono))
+    for db, scene, d_nec, rep in points:
+        l = scene.snapshots_l
+        c_univ = info_bound_universal(eps, scene, array)
+        c_geo = packing_rate(d_nec, scene)
+        ok = (rep.rate_bits_per_second <= c_univ + 1e-12
+              and rep.rate_bits_per_second <= c_geo + 1e-12)
+        lower = rate[lower_db[db], l] if db in lower_db else 0.0
+        mono = rep.rate_bits_per_pulse >= lower - 1e-12
+        rows.append(RatePoint(db, scene.snr_gamma0, l, rep.j,
+                              rep.rate_bits_per_pulse, rep.rate_bits_per_second,
+                              rep.feasible, c_univ, c_geo, ok, mono))
     return rows
 
 

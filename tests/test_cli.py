@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from embcom import bounds, field, sweep
+from embcom import bounds, config, field, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import stationary_snapshots
 from embcom.cli import main
@@ -102,6 +102,37 @@ def test_oversized_greedy_grid_rejected_by_key(tmp_path, capsys, step):
                "--set", f"design.greedy_grid_step_m={step}", "codebook") == 1
     assert "error: design.greedy_grid_step_m: candidate grid step" in \
         capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["2049", "10000000"])
+def test_oversized_field_grid_rejected_by_key(tmp_path, capsys, value):
+    # rejected before any array is built: 10^7 x 10^7 failed to allocate
+    assert run(tmp_path, "--set", f"field.grid_points={value}", "field") == 1
+    assert (f"error: field.grid_points: a {value} x {value} grid is more than "
+            "4194304 points\n") == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_grid_cap_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(config, "_MAX_FIELD_GRID", 12 * 12)
+    assert run(tmp_path, "--set", "field.grid_points=12", "field") == 0
+    assert run(tmp_path, "--set", "field.grid_points=13", "field") == 1
+
+
+@pytest.mark.parametrize("command", ["field", "sweep", "bounds"])
+@pytest.mark.parametrize("key, value, rule", [
+    ("solver.dnec_rays", "8193", ">= 1 and <= 8192"),
+    ("solver.dnec_rays", "10000000", ">= 1 and <= 8192"),
+    ("solver.support_grid_n", "513", ">= 1 and <= 512"),
+    ("solver.support_grid_n", "100000", ">= 1 and <= 512"),
+    ("field.profile_points", "4194305", ">= 2 and <= 4194304"),
+    ("field.profile_points", "10000000000000", ">= 2 and <= 4194304")])
+def test_oversized_grid_key_rejected_by_key(tmp_path, capsys, command, key,
+                                            value, rule):
+    # every command checks the caps before building any grid
+    assert run(tmp_path, "--set", f"{key}={value}", command) == 1
+    assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
     assert list(tmp_path.iterdir()) == []
 
 

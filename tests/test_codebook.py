@@ -341,8 +341,10 @@ def _whitened_min_distance(cb, params):
     return best
 
 
-def invert_reference(direction, b_target, array, scene):
-    """Field inversion along a direction by a fixed 80-step bisection."""
+def reference_bisection(direction, b_target, array, scene):
+    """Field inversion along a direction by a fixed 80-step bisection: its
+    final upper end (None when the target is unreachable) and the first step
+    whose midpoint equals an end of its bracket (None within 80 steps)."""
     c, s = direction
     limits = []
     if abs(c) > 0:
@@ -356,15 +358,22 @@ def invert_reference(direction, b_target, array, scene):
                                         array, scene))
 
     if b_at(hi) < b_target:
-        return None
-    lo = 0.0
-    for _ in range(80):
+        return None, None
+    lo, stop = 0.0, None
+    for step in range(1, 81):
         mid = 0.5 * (lo + hi)
+        if stop is None and mid in (lo, hi):
+            stop = step
         if b_at(mid) >= b_target:
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, stop
+
+
+def invert_reference(direction, b_target, array, scene):
+    """Field inversion along a direction by a fixed 80-step bisection."""
+    return reference_bisection(direction, b_target, array, scene)[0]
 
 
 def _whitened_direction(rotation, array, scene):
@@ -373,15 +382,26 @@ def _whitened_direction(rotation, array, scene):
     return d / np.linalg.norm(d)
 
 
+def tree_levels(n):
+    """Bisection levels per field call for n targets, from the midpoint
+    budget: whole trees of 2^d - 1 midpoints per target."""
+    return max(1, int(math.log2(codebook._FIELD_POINTS // n + 1)))
+
+
 # one field call for the reachability check, then one per tree of levels;
 # the step-by-step bisection made ~56
-MAX_INVERT_CALLS = 1 + math.ceil(80 / codebook._TREE_LEVELS)
+MAX_INVERT_CALLS = 1 + math.ceil(80 / tree_levels(1))
+
+
+def invert_one(direction, target, array, scene):
+    return codebook._invert_field_along(
+        [direction], [target], [field._kappa(scene.snr_gamma0)], array, scene)[0]
 
 
 def test_invert_field_early_stop_matches_80_steps(call_log, ref_array, ref_scene):
     assert MAX_INVERT_CALLS <= 11
     calls = call_log(codebook, "bhattacharyya_grid")
-    n_found = 0
+    n_found = n_early = 0
     for db in (5.0, 10.0, 20.0, 30.0, 40.0):
         for l in (1, 5, 20):
             sc = ref_scene.with_snr(10.0 ** (db / 10.0)).with_snapshots(l)
@@ -390,12 +410,18 @@ def test_invert_field_early_stop_matches_80_steps(call_log, ref_array, ref_scene
                 for j in (2, 7, 40, 300):
                     target = b_codebook(j, 1e-3, l) * (1.0 + 1e-9)
                     calls.clear()
-                    got = codebook._invert_field_along(d, target, ref_array, sc)
+                    got = invert_one(d, target, ref_array, sc)
+                    expect, stop = reference_bisection(d, target, ref_array, sc)
+                    assert got == expect
+                    # the reachability check, then the trees up to the one
+                    # holding the step that finds the bracket final
+                    assert len(calls) == (1 if expect is None else 1 + math.ceil(
+                        (stop or 80) / tree_levels(1)))
                     assert len(calls) <= MAX_INVERT_CALLS
-                    assert got == invert_reference(d, target, ref_array, sc)
                     if got is not None:
                         n_found += 1
-    assert n_found > 50
+                        n_early += stop is not None and stop <= 72
+    assert n_found > 50 and n_early > 50
 
 
 @pytest.mark.parametrize("target", [1e-30, 1e-300])
@@ -410,9 +436,59 @@ def test_invert_field_step_cap_matches_80_steps(call_log, ref_array, ref_scene,
         for rotation in (0.0, 0.7, math.pi / 2):
             d = _whitened_direction(rotation, ref_array, sc)
             calls.clear()
-            got = codebook._invert_field_along(d, target, ref_array, sc)
+            got = invert_one(d, target, ref_array, sc)
             assert len(calls) == MAX_INVERT_CALLS
             assert got == invert_reference(d, target, ref_array, sc)
+
+
+def _mixed_targets(array, scene_at_0db):
+    """(direction, target, scene) of one geometry: SNRs from 0 to 40 dB,
+    several rotations, targets the bisection stops early on, targets beyond
+    the field along the direction, at or above the ceiling, and the tiny
+    targets that take all 80 steps."""
+    out = []
+    for db in (0.0, 10.0, 20.0, 40.0):
+        sc = scene_at_0db.with_snr(10.0 ** (db / 10.0))
+        ceiling = field.field_ceiling(sc)
+        for rotation in (0.0, 0.3, 1.2, math.pi / 2):
+            d = _whitened_direction(rotation, array, sc)
+            for target in (b_codebook(2, 1e-3, 5), b_codebook(40, 1e-3, 20),
+                           0.999 * ceiling, ceiling, 2.0 * ceiling,
+                           1e-30, 1e-300):
+                out.append((d, target, sc))
+    return out
+
+
+@pytest.mark.parametrize("distance", [100.0, 20.0])
+def test_invert_field_batch_matches_80_steps(call_log, ref_array, distance):
+    scene = SceneConfig(distance, 2.0, 2.0, 1.0, 1.0, 5, 1.0)
+    mixed = _mixed_targets(ref_array, scene)
+    expect = [invert_reference(d, t, ref_array, sc) for d, t, sc in mixed]
+    assert None in expect and sum(x is not None for x in expect) > 40
+    calls = call_log(codebook, "bhattacharyya_grid")
+    everything = range(len(mixed))
+    for batch in (everything, everything[::7], everything[-3:], everything[:1]):
+        calls.clear()
+        got = codebook._invert_field_along(
+            [mixed[i][0] for i in batch], [mixed[i][1] for i in batch],
+            [field._kappa(mixed[i][2].snr_gamma0) for i in batch], ref_array, scene)
+        assert got == [expect[i] for i in batch]
+        assert len(calls) <= 1 + math.ceil(80 / tree_levels(len(batch)))
+        # every call after the reachability check stays within the budget
+        assert all(call[0].size <= codebook._FIELD_POINTS for call in calls[1:])
+
+
+def test_invert_field_batch_at_step_cap(call_log, ref_array, ref_scene):
+    # every target needs 79 or 80 steps: the walk ends at the cap
+    batch = [(_whitened_direction(rotation, ref_array, sc), target, sc)
+             for sc in (ref_scene, ref_scene.with_snr(100.0))
+             for rotation in (0.0, 0.7, math.pi / 2) for target in (1e-30, 1e-300)]
+    calls = call_log(codebook, "bhattacharyya_grid")
+    got = codebook._invert_field_along(
+        [d for d, _, _ in batch], [t for _, t, _ in batch],
+        [field._kappa(sc.snr_gamma0) for _, _, sc in batch], ref_array, ref_scene)
+    assert got == [invert_reference(d, t, ref_array, sc) for d, t, sc in batch]
+    assert len(calls) == 1 + math.ceil(80 / tree_levels(len(batch)))
 
 
 def test_hex_design_20db(ref_array, ref_scene):
@@ -482,6 +558,86 @@ def test_hex_rotation_offset_configurable(ref_array, ref_scene):
                                  offset_w=(0.1, 0.05))
     assert rep1.feasible
     assert set(map(tuple, cb0.points.tolist())) != set(map(tuple, cb1.points.tolist()))
+
+
+def design_reference(eps, scene, array, rotation=0.0, offset_w=(0.0, 0.0)):
+    """Hexagonal design of one scene by the back-off loop, one size at a
+    time, inverting the field by the 80-step reference bisection."""
+    l = scene.snapshots_l
+    transform = quadratic_params(array, scene).transform_t
+    d = _whitened_direction(rotation, array, scene)
+    j = max(2, int(math.floor(codebook._hexagonal_size_cont(eps, l, scene, array))))
+    while j >= 2:
+        b_thr = b_codebook(j, eps, l)
+        s = (invert_reference(d, b_thr * (1.0 + 1e-9), array, scene)
+             if b_thr < field.field_ceiling(scene) else None)
+        if s is not None:
+            spacing = s * float(np.linalg.norm(transform @ d))
+            pts = codebook._trim_to(codebook._whitened_hex_codebook(
+                spacing, rotation, np.asarray(offset_w), transform, scene),
+                j, transform)
+            if len(pts) >= 2:
+                cb = make_codebook(pts, array, scene)
+                rep = verify_codebook(cb, eps, scene, array)
+                if rep.feasible:
+                    return cb, replace(rep, whitened_spacing=spacing)
+        j = min(j - 1, int(math.floor(0.95 * j)))
+    cb = make_codebook([(0.0, 0.0)], array, scene)
+    return cb, verify_codebook(cb, eps, scene, array)
+
+
+def assert_same_designs(got, expect):
+    assert len(got) == len(expect)
+    for (cb, rep), (cb_ref, rep_ref) in zip(got, expect):
+        assert cb.scene == cb_ref.scene
+        assert cb.points.tobytes() == cb_ref.points.tobytes()
+        assert rep == rep_ref  # every field, whitened_spacing included
+
+
+def test_batched_designs_match_one_at_a_time_on_the_sweep_grid(ref_array,
+                                                               ref_scene):
+    cfg = load_config()
+    scenes = [ref_scene.with_snr(db_to_linear(db)).with_snapshots(l)
+              for db in cfg.get("sweep", "snr_db_list")
+              for l in cfg.get("sweep", "l_list")]
+    got = codebook.hexagonal_designs(1e-3, scenes, ref_array)
+    assert_same_designs(got, [design_reference(1e-3, sc, ref_array)
+                              for sc in scenes])
+    assert_same_designs(got, [hexagonal_design(1e-3, sc, ref_array)
+                              for sc in scenes])
+    j = {(round(10 * math.log10(cb.scene.snr_gamma0)), cb.scene.snapshots_l):
+         rep.j for cb, rep in got}
+    # both collapsed 20 dB points: one ladder ends at J = 2, one at the
+    # center point
+    assert j[20, 20] == 2 and j[20, 30] == 1
+    assert codebook.hexagonal_size(1e-3, 30, ref_scene.with_snr(100.0),
+                                   ref_array) > 2
+
+
+@pytest.mark.parametrize("distance, rotation, offset_w", [
+    (100.0, 0.3, (0.1, 0.05)), (100.0, 1.1, (-0.2, 0.3)), (20.0, 0.0, (0.0, 0.0)),
+    (20.0, 0.3, (0.1, 0.05))])
+def test_batched_designs_match_one_at_a_time(ref_array, distance, rotation,
+                                             offset_w):
+    base = SceneConfig(distance, 2.0, 2.0, 1.0, 1.0, 5, 1.0)
+    dbs = (0.0, 10.0, 20.0) if distance == 20.0 else (10.0, 20.0, 30.0)
+    scenes = [base.with_snr(db_to_linear(db)).with_snapshots(l)
+              for db in dbs for l in (1, 2, 5, 20)]
+    got = codebook.hexagonal_designs(1e-3, scenes, ref_array, rotation, offset_w)
+    assert_same_designs(got, [design_reference(1e-3, sc, ref_array, rotation,
+                                               offset_w) for sc in scenes])
+    assert_same_designs(got, [hexagonal_design(1e-3, sc, ref_array, rotation,
+                                               offset_w) for sc in scenes])
+    assert len({rep.j for _, rep in got}) > 3
+
+
+@pytest.mark.parametrize("change", [dict(distance_d=50.0), dict(extent_y=1.0),
+                                    dict(extent_z=1.5)])
+def test_batched_designs_share_one_geometry(ref_array, ref_scene, change):
+    with pytest.raises(ValueError, match="share distance_d, extent_y and extent_z"):
+        codebook.hexagonal_designs(1e-3, [ref_scene, replace(ref_scene, **change)],
+                                   ref_array)
+    assert codebook.hexagonal_designs(1e-3, [], ref_array) == []
 
 
 # --- greedy baseline --------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_axis_kernel_is_the_per_pair_factor_bitwise(ref_array, ref_scene):
         ey, field._dirichlet_sq(ya[:, None] - yb, ref_array.m_y,
                                 ref_scene.distance_d))
     np.testing.assert_array_equal(
-        field._exponent(ey * ez, ref_scene),
+        field._exponent(ey * ez, field._kappa(ref_scene.snr_gamma0)),
         bhattacharyya_grid(ya[:, None] - yb, za[:, None] - zb, ref_array,
                            ref_scene))
 

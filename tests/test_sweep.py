@@ -1,11 +1,13 @@
+import math
 import warnings
 
 import pytest
 
-from embcom import sweep
+from embcom import bounds, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import (fano_bound, geo_bound_mainlobe, info_bound_universal,
-                           optimal_snapshots, packing_rate, snap_info_support)
+                           optimal_snapshots, packing_rate, snap_info_support,
+                           stationary_snapshots)
 from embcom.codebook import hexagonal_design
 from embcom.config import load_config
 from embcom.field import necessary_separation_dnec
@@ -20,6 +22,42 @@ def test_rate_nondecreasing_in_snr(ref_array, ref_scene):
         rates = [r.rate_bits_per_pulse for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
         assert all(r.monotone_snr_ok for r in rows)
+
+
+@pytest.mark.parametrize("snr_db_list, l_list, flags", [
+    # rates rise with SNR: no row flagged, however the list is ordered
+    ((20.0, 10.0, 0.0), (5, 10), {20.0: True, 10.0: True, 0.0: True}),
+    # the collapsed 20 dB points fall below 15 dB wherever 15 dB is listed
+    ((20.0, 15.0), (20, 30), {20.0: False, 15.0: True}),
+    ((15.0, 20.0), (20, 30), {20.0: False, 15.0: True})])
+def test_monotone_flag_compares_with_the_nearest_lower_snr(
+        ref_array, ref_scene, snr_db_list, l_list, flags):
+    rows = rate_sweep(1e-3, ref_scene, ref_array, snr_db_list, l_list)
+    assert [(r.gamma0_db, r.l) for r in rows] == [
+        (db, l) for db in snr_db_list for l in l_list]
+    assert {r.gamma0_db: r.monotone_snr_ok for r in rows} == flags
+    # the same rows as the sorted list's
+    ordered = rate_sweep(1e-3, ref_scene, ref_array, sorted(snr_db_list), l_list)
+    assert sorted(rows, key=lambda r: (r.gamma0_db, r.l)) == ordered
+
+
+def test_sweeps_design_every_point_in_one_call(call_log, ref_array, ref_scene):
+    designs = call_log(sweep, "hexagonal_designs")
+    windows = call_log(bounds, "hexagonal_designs")
+    rate_sweep(1e-3, ref_scene, ref_array, (10.0, 20.0), (5, 14))
+    assert len(designs) == 1 and windows == []
+    designs.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rays that never cross at 10 dB
+        bound_sweep(1e-3, ref_scene, ref_array, (10.0, 20.0), (5, 14), n_rays=90,
+                    grid_n=11)
+    # one for the sweep grid, one per SNR for optimal_snapshots' L window
+    assert len(designs) == 1 and len(windows) == 2
+    for db, (_, scenes, _) in zip((10.0, 20.0), windows):
+        l_cont = stationary_snapshots(1e-3, ref_scene.with_snr(db_to_linear(db)),
+                                      ref_array)
+        assert [sc.snapshots_l for sc in scenes] == list(range(
+            max(1, math.floor(l_cont) - 2), max(1, math.ceil(l_cont) + 2) + 1))
 
 
 def test_lstar_int_near_monotone_in_snr(ref_array, ref_scene):
