@@ -196,20 +196,24 @@ def stationary_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
     return (eps / xi_h_factor(scene, array)) * y_star * math.exp(y_star)
 
 
-def optimal_snapshots(eps: float, scene: SceneConfig,
-                      array: ArrayConfig) -> tuple[float, int]:
+def optimal_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig,
+                      rotation: float = 0.0,
+                      offset_w: tuple[float, float] = (0.0, 0.0),
+                      ) -> tuple[float, int]:
     """Stationary point of the closed-form rate and its integer refinement.
 
     The continuous optimum is stationary_snapshots.  The integer value
     re-evaluates the exact hexagonal-design rate on every integer within 2
     of the stationary point (clamped to L >= 1), designed in one
-    hexagonal_designs call; ties prefer the smaller L.
+    hexagonal_designs call at the lattice ``rotation`` and ``offset_w``;
+    ties prefer the smaller L.
     """
     l_cont = stationary_snapshots(eps, scene, array)
     lo = max(1, math.floor(l_cont) - 2)
     hi = max(1, math.ceil(l_cont) + 2)
     ls = range(lo, hi + 1)
-    designs = hexagonal_designs(eps, [scene.with_snapshots(l) for l in ls], array)
+    designs = hexagonal_designs(eps, [scene.with_snapshots(l) for l in ls], array,
+                                rotation=rotation, offset_w=offset_w)
     best_l, best_rate = lo, -1.0
     for l, (_, rep) in zip(ls, designs):
         if rep.rate_bits_per_pulse > best_rate + 1e-15:

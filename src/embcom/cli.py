@@ -90,13 +90,12 @@ def _nn_axis_gaps(pts: np.ndarray) -> tuple[float, float]:
     return gap(pts[:, 0]), gap(pts[:, 1])
 
 
-def _configured_design(cfg: RunConfig):
-    """Hexagonal design at the configured lattice rotation and offset."""
-    return hexagonal_design(
-        cfg.eps, cfg.scene, cfg.array,
-        rotation=cfg.get("design", "hex_rotation_rad"),
-        offset_w=(cfg.get("design", "hex_offset_y"),
-                  cfg.get("design", "hex_offset_z")))
+def _lattice(cfg: RunConfig) -> dict:
+    """The configured lattice rotation and offset, as the keywords of every
+    call that designs: hexagonal_design and the sweeps."""
+    return dict(rotation=cfg.get("design", "hex_rotation_rad"),
+                offset_w=(cfg.get("design", "hex_offset_y"),
+                          cfg.get("design", "hex_offset_z")))
 
 
 def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> int:
@@ -107,7 +106,7 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
         rep = verify_codebook(cb, eps, scene, array)
         greedy_j = None
     else:
-        cb, rep = _configured_design(cfg)
+        cb, rep = hexagonal_design(eps, scene, array, **_lattice(cfg))
         try:
             greedy_j = len(greedy_packing_baseline(
                 eps, scene, array, cfg.get("design", "greedy_grid_step_m")))
@@ -150,8 +149,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     snrs = cfg.get("sweep", "snr_db_list")
     rows = rate_sweep(eps, scene, array, snrs, cfg.get("sweep", "l_list"),
                       n_rays=cfg.get("solver", "dnec_rays"),
-                      tol=cfg.get("solver", "dnec_tol_m"))
-    lstar_rows = lstar_sweep(eps, scene, array, snrs)  # both or neither file
+                      tol=cfg.get("solver", "dnec_tol_m"), **_lattice(cfg))
+    # both tables before either file
+    lstar_rows = lstar_sweep(eps, scene, array, snrs, **_lattice(cfg))
     _write_table(out / "rate_sweep.csv", cfg, RatePoint, rows)
     _write_table(out / "lstar.csv", cfg, LstarPoint, lstar_rows)
     if not all(r.sandwich_ok for r in rows):
@@ -167,7 +167,7 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
         n_rays=cfg.get("solver", "dnec_rays"), tol=cfg.get("solver", "dnec_tol_m"),
         grid_n=cfg.get("solver", "support_grid_n"),
         fw_iters=cfg.get("solver", "fw_iters"),
-        gap_tol_bits=cfg.get("solver", "fw_gap_tol_bits"))
+        gap_tol_bits=cfg.get("solver", "fw_gap_tol_bits"), **_lattice(cfg))
     _write_table(out / "bounds.csv", cfg, BoundPoint, rows)
     if violation:
         print("bound violation detected in bounds", file=sys.stderr)
@@ -176,7 +176,8 @@ def cmd_bounds(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_lstar(cfg: RunConfig, out: Path) -> int:
-    rows = lstar_sweep(cfg.eps, cfg.scene, cfg.array, cfg.get("sweep", "snr_db_list"))
+    rows = lstar_sweep(cfg.eps, cfg.scene, cfg.array, cfg.get("sweep", "snr_db_list"),
+                       **_lattice(cfg))
     _write_table(out / "lstar.csv", cfg, LstarPoint, rows)
     return EXIT_OK
 
@@ -201,7 +202,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
     if codebook_path is not None:
         cb = codebook_from_csv(codebook_path, array, scene)
     else:
-        cb, _ = _configured_design(cfg)
+        cb, _ = hexagonal_design(cfg.eps, scene, array, **_lattice(cfg))
     if len(cb) < 2:
         source = (f"the imported codebook {codebook_path} has J={len(cb)}"
                   if codebook_path is not None else
@@ -216,29 +217,29 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
         # must always trip the check
         report = replace(report, union_bound_prediction=-1.0,
                          wilson_halfwidth_95=0.0)
-    j = len(cb)
     payload = {
         "config": _config_dict(cfg),
         "seed": report.seed,
-        "j": j,
+        "j": len(cb),
         "trials_per_codeword": report.trials,
         "b_min_nats": report.b_min,
-        "per_codeword_error": list(report.per_codeword_error),
+        "per_codeword_error": report.per_codeword_error.tolist(),
         "max_error": report.max_error,
         "wilson_halfwidth_95": report.wilson_halfwidth_95,
         "union_bound_prediction": report.union_bound_prediction,
-        "pairwise_empirical": [list(r) for r in report.pairwise_empirical],
-        "pairwise_bound": [list(r) for r in report.pairwise_bound],
-        "pairwise_halfwidth": [list(r) for r in report.pairwise_halfwidth],
+        "pairwise_empirical": report.pairwise_empirical.tolist(),
+        "pairwise_bound": report.pairwise_bound.tolist(),
+        "pairwise_halfwidth": report.pairwise_halfwidth.tolist(),
         "codewords": cb.points.tolist(),
         "bound_violations": report.bound_violations(),
     }
     _write_json(out / "sim_report.json", payload)
-    rows = [(i, k, report.pairwise_empirical[i][k], report.pairwise_bound[i][k],
-             report.pairwise_halfwidth[i][k])
-            for i in range(j) for k in range(j) if i != k]
+    i, k = np.nonzero(~np.eye(len(cb), dtype=bool))  # off the diagonal, row-major
+    tables = (report.pairwise_empirical, report.pairwise_bound,
+              report.pairwise_halfwidth)
     _write_csv(out / "sim_pairwise.csv", _header_lines(cfg),
-               ["i", "j", "empirical_rate", "bhatt_bound", "halfwidth"], rows)
+               ["i", "j", "empirical_rate", "bhatt_bound", "halfwidth"],
+               zip(i.tolist(), k.tolist(), *(t[i, k].tolist() for t in tables)))
     if payload["bound_violations"]:
         for msg in payload["bound_violations"]:
             print(f"soundness violation: {msg}", file=sys.stderr)

@@ -29,6 +29,14 @@ _RULES = {
     # dB: 10^(x/10) overflows above about 3082 dB and is 0 below about -3233
     # dB, and the design's size estimate divides by zero below about -1700 dB
     "in [-1000, 1000]": lambda v: -1000 <= v <= 1000,
+    # scene lengths in metres: D^2 overflows above about 1.3e154 m, and the
+    # design's whitened plane area, extent_y extent_z g^2 / (D^2 (1 + g)),
+    # overflows or underflows to 0 at extreme ratios of lengths and gains
+    "finite and > 0 and in [1e-9, 1e12]": lambda v: 1e-9 <= v <= 1e12,
+    # gains, powers and the pulse duration: snr_db's range in linear terms;
+    # within it the echo power g sigma^2, the trial energies and every rate
+    # log2(J) / (L T_p) stay finite and nonzero
+    "finite and > 0 and in [1e-100, 1e100]": lambda v: 1e-100 <= v <= 1e100,
 }
 
 
@@ -49,14 +57,14 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
         "m_z": (int, 16, ">= 1"),
     },
     "scene": {
-        "distance_m": (float, 100.0, "finite and > 0"),
-        "extent_y_m": (float, 2.0, "finite and > 0"),
-        "extent_z_m": (float, 2.0, "finite and > 0"),
+        "distance_m": (float, 100.0, "finite and > 0 and in [1e-9, 1e12]"),
+        "extent_y_m": (float, 2.0, "finite and > 0 and in [1e-9, 1e12]"),
+        "extent_z_m": (float, 2.0, "finite and > 0 and in [1e-9, 1e12]"),
         "snr_db": (float, None, "in [-1000, 1000]"),
-        "snr_gamma0": (float, None, "finite and > 0"),
-        "noise_var": (float, 1.0, "finite and > 0"),
+        "snr_gamma0": (float, None, "finite and > 0 and in [1e-100, 1e100]"),
+        "noise_var": (float, 1.0, "finite and > 0 and in [1e-100, 1e100]"),
         "snapshots": (int, 5, ">= 1"),
-        "pulse_duration_s": (float, 1.0, "finite and > 0"),
+        "pulse_duration_s": (float, 1.0, "finite and > 0 and in [1e-100, 1e100]"),
         "far_field_ratio": (float, 0.05, "finite and > 0"),
     },
     "design": {

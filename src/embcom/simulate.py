@@ -124,31 +124,37 @@ def ml_decode_loglik(batch: SnapshotBatch, cb: Codebook, array: ArrayConfig,
     return int(np.argmin(costs))
 
 
-def wilson_halfwidth(errors: int, trials: int) -> float:
-    """Half-width of the 95% Wilson score interval for a binomial rate."""
+def wilson_halfwidth(errors, trials: int):
+    """Half-width of the 95% Wilson score interval for a binomial rate: a
+    float for one error count, an array for an array of counts."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     z = 1.959963984540054  # standard normal 97.5% quantile
     p = errors / trials
     denom = 1.0 + z * z / trials
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4.0 * trials * trials))
-    return half
+    return (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4.0 * trials * trials))
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class SimReport:
     """Empirical error rates with confidence half-widths and the analytic
-    bounds they are checked against."""
+    bounds they are checked against.  The tables are read-only arrays, row i
+    of a (J, J) table the codeword sent; reports compare by identity."""
 
     trials: int
-    per_codeword_error: tuple[float, ...]
+    per_codeword_error: np.ndarray
     max_error: float
     wilson_halfwidth_95: float
     union_bound_prediction: float
     b_min: float
-    pairwise_empirical: tuple[tuple[float, ...], ...]
-    pairwise_bound: tuple[tuple[float, ...], ...]
-    pairwise_halfwidth: tuple[tuple[float, ...], ...]
+    pairwise_empirical: np.ndarray
+    pairwise_bound: np.ndarray
+    pairwise_halfwidth: np.ndarray
     seed: int
 
     def bound_violations(self) -> list[str]:
@@ -159,16 +165,13 @@ class SimReport:
             out.append(
                 f"max error {self.max_error:.6g} exceeds union bound "
                 f"{self.union_bound_prediction:.6g} + {self.wilson_halfwidth_95:.6g}")
-        j = len(self.per_codeword_error)
-        for i in range(j):
-            for k in range(j):
-                if i == k:
-                    continue
-                emp = self.pairwise_empirical[i][k]
-                cap = self.pairwise_bound[i][k] + self.pairwise_halfwidth[i][k]
-                if emp > cap:
-                    out.append(f"pairwise {i}->{k} rate {emp:.6g} exceeds "
-                               f"bound-plus-halfwidth {cap:.6g}")
+        emp = self.pairwise_empirical
+        cap = self.pairwise_bound + self.pairwise_halfwidth
+        over = emp > cap
+        np.fill_diagonal(over, False)
+        out += [f"pairwise {i}->{k} rate {emp[i, k]:.6g} exceeds "
+                f"bound-plus-halfwidth {cap[i, k]:.6g}"
+                for i, k in zip(*np.nonzero(over))]
         return out
 
 
@@ -213,7 +216,7 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
             decided = np.argmax(_energy_statistics(proj), axis=1)
             confusion[i] += np.bincount(decided, minlength=j)
 
-    per_cw_err = tuple(float((n - confusion[i, i]) / n) for i in range(j))
+    per_cw_err = (n - confusion.diagonal()) / n
     worst = int(np.argmax(per_cw_err))
     hw_max = wilson_halfwidth(n - int(confusion[worst, worst]), n)
 
@@ -224,19 +227,15 @@ def estimate_errors(cb: Codebook, trials_per_codeword: int, rng_seed: int,
     np.fill_diagonal(pair_bound, 1.0)
     b_min = float(b[~np.eye(j, dtype=bool)].min()) if j >= 2 else math.inf
     union = float((j - 1) * math.exp(-l * b_min)) if j >= 2 else 0.0
-
-    pair_emp = confusion / n
-    pair_hw = np.array([[wilson_halfwidth(int(confusion[i, k]), n) for k in range(j)]
-                        for i in range(j)])
     return SimReport(
         trials=n,
-        per_codeword_error=per_cw_err,
-        max_error=float(max(per_cw_err)),
+        per_codeword_error=_read_only(per_cw_err),
+        max_error=float(per_cw_err[worst]),
         wilson_halfwidth_95=float(hw_max),
         union_bound_prediction=union,
         b_min=b_min,
-        pairwise_empirical=tuple(tuple(float(x) for x in row) for row in pair_emp),
-        pairwise_bound=tuple(tuple(float(x) for x in row) for row in pair_bound),
-        pairwise_halfwidth=tuple(tuple(float(x) for x in row) for row in pair_hw),
+        pairwise_empirical=_read_only(confusion / n),
+        pairwise_bound=_read_only(pair_bound),
+        pairwise_halfwidth=_read_only(wilson_halfwidth(confusion, n)),
         seed=rng_seed,
     )

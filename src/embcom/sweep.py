@@ -76,12 +76,14 @@ def _sweep_lists(**lists) -> list[list]:
     return out
 
 
-def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol):
+def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol,
+                   rotation, offset_w):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
     report) for each L]).  One necessary-separation call covers the whole
     SNR list, so one steering-correlation grid serves every SNR, and one
-    hexagonal_designs call designs every (SNR, L) point.  The geometric
-    converse's necessary threshold needs eps < 1/2."""
+    hexagonal_designs call designs every (SNR, L) point on the lattice of
+    ``rotation`` and ``offset_w``.  The geometric converse's necessary
+    threshold needs eps < 1/2."""
     snr_db_list, l_list = _sweep_lists(snr_db_list=snr_db_list, l_list=l_list)
     if not 0 < eps < 0.5:
         raise ValueError("design.epsilon must be in (0, 1/2) for sweep and bounds, "
@@ -90,24 +92,27 @@ def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol)
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
     scenes = [[sc.with_snapshots(int(l)) for l in l_list] for sc in snr_scenes]
     designs = iter(hexagonal_designs(eps, [sc for row in scenes for sc in row],
-                                     array))
+                                     array, rotation=rotation, offset_w=offset_w))
     for db, snr_scene, row, d_nec_row in zip(snr_db_list, snr_scenes, scenes, d_necs):
         yield db, snr_scene, [(sc, d_nec, next(designs)[1])
                               for sc, d_nec in zip(row, d_nec_row)]
 
 
 def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
-               snr_db_list, l_list, n_rays: int = 720,
-               tol: float = 1e-5) -> list[RatePoint]:
+               snr_db_list, l_list, n_rays: int = 720, tol: float = 1e-5,
+               rotation: float = 0.0,
+               offset_w: tuple[float, float] = (0.0, 0.0)) -> list[RatePoint]:
     """Hexagonal-design achievable rate with the universal information and
     geometric converses at every (gamma0, L) grid point.  Each row records
     whether the lower bound respects both converses and whether the rate is
     monotone versus the nearest lower SNR of the list at the same L (true
     at the lowest SNR).  ``n_rays`` and ``tol`` set the necessary-separation
-    ray search behind the geometric converse."""
+    ray search behind the geometric converse, and ``rotation`` and
+    ``offset_w`` the lattice of every design, as in hexagonal_designs."""
     points = [(db, scene, d_nec, rep)
               for db, _, row in _design_points(eps, scene_template, array,
-                                               snr_db_list, l_list, n_rays, tol)
+                                               snr_db_list, l_list, n_rays, tol,
+                                               rotation, offset_w)
               for scene, d_nec, rep in row]
     rate = {(db, scene.snapshots_l): rep.rate_bits_per_pulse
             for db, scene, _, rep in points}
@@ -131,16 +136,22 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
 def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                 snr_db_list, l_list, n_rays: int = 720, tol: float = 1e-5,
                 grid_n: int = 41, fw_iters: int = 400,
-                gap_tol_bits: float = 1e-6) -> tuple[list[BoundPoint], bool]:
+                gap_tol_bits: float = 1e-6, rotation: float = 0.0,
+                offset_w: tuple[float, float] = (0.0, 0.0),
+                ) -> tuple[list[BoundPoint], bool]:
     """Every converse next to the hexagonal-design rate at each (gamma0, L)
     grid point, and whether the rate exceeds any of them.  The support value
     is solved once per SNR; the first rate above it refines that SNR's grid
-    once, to 2 n - 1 points per axis, kept for its remaining L values."""
+    once, to 2 n - 1 points per axis, kept for its remaining L values.
+    ``rotation`` and ``offset_w`` set the lattice of every design, the
+    optimal-snapshot window's included."""
     rows = []
     violation = False
     for db, snr_scene, points in _design_points(eps, scene_template, array,
-                                                snr_db_list, l_list, n_rays, tol):
-        l_cont, l_int = optimal_snapshots(eps, snr_scene, array)
+                                                snr_db_list, l_list, n_rays, tol,
+                                                rotation, offset_w):
+        l_cont, l_int = optimal_snapshots(eps, snr_scene, array, rotation=rotation,
+                                          offset_w=offset_w)
         c_univ_snap = snap_info_universal(snr_scene, array)
         n, n_fine = grid_n, 2 * grid_n - 1
         c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters, gap_tol_bits)
@@ -191,10 +202,12 @@ def exhaustive_closed_form_lstar(eps: float, scene: SceneConfig,
 
 
 def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
-                snr_db_list) -> list[LstarPoint]:
+                snr_db_list, rotation: float = 0.0,
+                offset_w: tuple[float, float] = (0.0, 0.0)) -> list[LstarPoint]:
     """Optimal snapshot count versus SNR: the continuous stationary point, its
-    exact-design window refinement, and the closed-form integer optimum with
-    its exhaustive cross-check."""
+    exact-design window refinement at the lattice ``rotation`` and
+    ``offset_w``, and the closed-form integer optimum with its exhaustive
+    cross-check."""
     rows = []
     for db in _sweep_lists(snr_db_list=snr_db_list)[0]:
         g0 = db_to_linear(db)
@@ -203,7 +216,8 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
             exhaustive = exhaustive_closed_form_lstar(eps, scene, array)
         except ValueError as exc:
             raise ValueError(f"sweep.snr_db_list: at {db:g} dB {exc}") from None
-        l_cont, l_int = optimal_snapshots(eps, scene, array)
+        l_cont, l_int = optimal_snapshots(eps, scene, array, rotation=rotation,
+                                          offset_w=offset_w)
         rows.append(LstarPoint(db, g0, l_cont, l_int,
                                closed_form_lstar_int(eps, scene, array),
                                exhaustive))

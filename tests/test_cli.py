@@ -8,7 +8,7 @@ import pytest
 
 from embcom import bounds, config, field, sweep
 from embcom.arrays import db_to_linear
-from embcom.bounds import stationary_snapshots
+from embcom.bounds import optimal_snapshots, stationary_snapshots
 from embcom.cli import main
 from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import _RULES, _SCHEMA, load_config
@@ -136,6 +136,10 @@ def test_oversized_grid_key_rejected_by_key(tmp_path, capsys, command, key,
     assert list(tmp_path.iterdir()) == []
 
 
+LENGTH_RULE = "finite and > 0 and in [1e-9, 1e12]"
+SCALE_RULE = "finite and > 0 and in [1e-100, 1e100]"
+
+
 @pytest.mark.parametrize("command, sets, message", [
     # every command checks every key, also keys it does not read
     ("field", ["scene.far_field_ratio=nan", "scene.distance_m=1"],
@@ -168,7 +172,27 @@ def test_oversized_grid_key_rejected_by_key(tmp_path, capsys, command, key,
      "sweep.snr_db_list must be in [-1000, 1000], got -4000.0"),
     # finite in linear terms, but the design's size estimate divides by zero
     ("codebook", ["scene.snr_db=-2000"],
-     "scene.snr_db must be in [-1000, 1000], got -2000.0")])
+     "scene.snr_db must be in [-1000, 1000], got -2000.0"),
+    # D^2 overflows from about 1.3e154 m: an OverflowError traceback
+    *[(command, ["scene.distance_m=1e300"],
+       f"scene.distance_m must be {LENGTH_RULE}, got 1e+300")
+      for command in ("field", "codebook", "sweep", "bounds", "lstar")],
+    # D^2 underflows to 0: a ZeroDivisionError traceback
+    ("codebook", ["scene.distance_m=1e-300", "scene.extent_y_m=1e-302",
+                  "scene.extent_z_m=1e-302"],
+     f"scene.distance_m must be {LENGTH_RULE}, got 1e-300"),
+    # the echo power overflows to inf: a false soundness violation
+    ("simulate", ["scene.noise_var=1e308", "scene.snr_db=20"],
+     f"scene.noise_var must be {SCALE_RULE}, got 1e+308"),
+    # the plane's area overflows: "cannot convert float NaN to integer"
+    ("codebook", ["scene.far_field_ratio=1e300", "scene.extent_y_m=1e250",
+                  "scene.extent_z_m=1e250"],
+     f"scene.extent_y_m must be {LENGTH_RULE}, got 1e+250"),
+    ("codebook", ["scene.snr_gamma0=1e300"],
+     f"scene.snr_gamma0 must be {SCALE_RULE}, got 1e+300"),
+    # every rate overflows to inf, and the sandwich check passes on inf
+    ("sweep", ["scene.pulse_duration_s=1e-320"],
+     f"scene.pulse_duration_s must be {SCALE_RULE}, got 1e-320")])
 def test_every_command_checks_every_key(tmp_path, capsys, command, sets, message):
     args = [arg for s in sets for arg in ("--set", s)]
     assert run(tmp_path, *args, command) == 1
@@ -323,6 +347,20 @@ def test_simulate_gate_and_negative_control(tmp_path):
     # deliberately corrupted bound must trip the gate
     assert run(tmp_path, *SMALL_SIM, "--seed", "5", "simulate",
                "--self-test-corrupt") == 2
+
+
+def test_sim_pairwise_csv_lists_the_reports_off_diagonal_cells(tmp_path):
+    # row-major (i, k) with i != k, each with the JSON tables' values
+    assert run(tmp_path, *SMALL_SIM, "simulate") == 0
+    rep = json.loads((tmp_path / "sim_report.json").read_text())
+    tables = [rep[name] for name in ("pairwise_empirical", "pairwise_bound",
+                                     "pairwise_halfwidth")]
+    j = rep["j"]
+    lines = [l for l in (tmp_path / "sim_pairwise.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert lines == ["i,j,empirical_rate,bhatt_bound,halfwidth"] + [
+        ",".join([str(i), str(k), *(f"{t[i][k]:.17g}" for t in tables)])
+        for i in range(j) for k in range(j) if i != k]
 
 
 def test_simulate_rejects_singleton_design(tmp_path):
@@ -658,4 +696,84 @@ def test_lattice_beyond_the_cap_rejected(tmp_path, capsys):
     assert run(tmp_path, "--set", "scene.snr_db=150", "codebook") == 1
     assert ("error: the hexagonal lattice enumerates 6.644e+10 points to cover "
             "the plane, more than 4194304\n") == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sets", [
+    # documented geometries
+    ["scene.distance_m=20"], ["scene.distance_m=2", "scene.far_field_ratio=0.5"],
+    ["scene.distance_m=1e12"],
+    ["scene.distance_m=1e-6", "scene.extent_y_m=1e-7", "scene.extent_z_m=1e-7"],
+    # the ends of the length ranges
+    ["scene.distance_m=1e-9", "scene.extent_y_m=1e-9", "scene.extent_z_m=1e-9",
+     "scene.far_field_ratio=0.5"],
+    ["scene.distance_m=1e12", "scene.extent_y_m=1e12", "scene.extent_z_m=1e12",
+     "scene.far_field_ratio=0.5", "design.greedy_grid_step_m=1e10"]])
+def test_scene_lengths_in_range_design(tmp_path, sets):
+    args = [arg for s in sets for arg in ("--set", s)]
+    assert run(tmp_path, *args, "field") == 0
+    assert run(tmp_path, *args, "codebook") == 0
+
+
+@pytest.mark.parametrize("gain", ["1e-100", "1e100"])
+def test_scene_gains_at_the_range_ends_simulate(tmp_path, gain):
+    # the echo power g sigma^2 spans 1e-200 to 1e200: every trial energy
+    # stays finite, and the soundness gate holds
+    csv = tmp_path / "three.csv"
+    csv.write_text("index,y_m,z_m\n0,-0.5,0\n1,0.5,0\n2,0,0.5\n")
+    assert run(tmp_path, "--set", f"scene.noise_var={gain}",
+               "--set", f"scene.snr_gamma0={gain}",
+               "--set", "sim.trials_per_codeword=100",
+               "simulate", "--codebook", str(csv)) == 0
+
+
+@pytest.mark.parametrize("sets, j_hex, l_star_int", [
+    # the default lattice gives j_hex = 5 and l_star_int = 3 at 25 dB, L = 5
+    (["design.hex_rotation_rad=0.5"], 7, 1),
+    (["design.hex_offset_y=0.3", "design.hex_offset_z=0.2"], 4, 3)])
+def test_sweeps_use_configured_lattice(tmp_path, sets, j_hex, l_star_int):
+    args = [arg for s in [*sets, "sweep.snr_db_list=25", "sweep.l_list=5",
+                          "solver.support_grid_n=11", "solver.dnec_rays=90"]
+            for arg in ("--set", s)]
+    for command in ("sweep", "bounds", "lstar"):
+        assert run(tmp_path, *args, command) == 0
+    cfg = load_config(None, [*sets, "scene.snr_db=25"])
+    lattice = dict(rotation=cfg.get("design", "hex_rotation_rad"),
+                   offset_w=(cfg.get("design", "hex_offset_y"),
+                             cfg.get("design", "hex_offset_z")))
+    _, rep = hexagonal_design(cfg.eps, cfg.scene, cfg.array, **lattice)
+    assert rep.j == j_hex
+    assert _csv_column(tmp_path / "rate_sweep.csv", "j_hex") == [str(j_hex)]
+    assert _csv_column(tmp_path / "bounds.csv", "rate_lower") == [
+        f"{rep.rate_bits_per_second:.17g}"]
+    assert optimal_snapshots(cfg.eps, cfg.scene, cfg.array, **lattice)[1] == l_star_int
+    for name in ("bounds.csv", "lstar.csv"):
+        assert _csv_column(tmp_path / name, "l_star_int") == [str(l_star_int)]
+
+
+def _readme_artifacts() -> dict[str, list[str]]:
+    """README's command table: each command's artifacts, in table order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n| command ", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {cmd.strip(" `"): re.findall(r"`([^`]+)`", arts) for cmd, arts in rows}
+
+
+def test_readme_lists_every_command():
+    assert list(_readme_artifacts()) == ["field", "codebook", "sweep", "bounds",
+                                         "lstar", "simulate"]
+
+
+@pytest.mark.parametrize("command", ["field", "codebook", "sweep", "bounds", "lstar"])
+def test_readme_default_command_writes_its_artifacts(tmp_path, command):
+    # README's commands at the defaults, given only --out
+    assert main(["--out", str(tmp_path), command]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        _readme_artifacts()[command])
+
+
+def test_readme_default_simulate_names_the_singleton_design(tmp_path, capsys):
+    # the default design has J = 1, as README says
+    assert main(["--out", str(tmp_path), "simulate"]) == 1
+    assert "error: simulation needs at least 2 codewords" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from statistics import NormalDist
 
 import numpy as np
@@ -147,13 +148,19 @@ def test_estimate_errors_report(sim_setup):
         estimate_errors(cb, 50, 1, sc, arr)
 
 
+def _same_report(a, b) -> bool:
+    # reports compare by identity: compare every field, tables entrywise
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a))
+
+
 def test_estimate_errors_deterministic(sim_setup):
     arr, sc, cb = sim_setup
     r1 = estimate_errors(cb, 300, 7, sc, arr)
     r2 = estimate_errors(cb, 300, 7, sc, arr)
-    assert r1 == r2
+    assert _same_report(r1, r2)
     r3 = estimate_errors(cb, 300, 8, sc, arr)
-    assert r1 != r3
+    assert not _same_report(r1, r3)
 
 
 def test_more_snapshots_do_not_hurt(sim_setup):
@@ -277,3 +284,117 @@ def test_estimate_errors_never_synthesizes_snapshots(sim_setup, monkeypatch):
     monkeypatch.setattr(simulate, "_draw", spy)
     assert estimate_errors(cb, 100, 4, sc, arr).trials == 100
     assert calls == []
+
+
+def _per_entry_tables(rep, cb, scene, array):
+    """Reference: the report's tables rebuilt one entry at a time from its
+    confusion counts, with the scalar wilson_halfwidth of each cell and the
+    field of each pair."""
+    n, j, l = rep.trials, len(cb), scene.snapshots_l
+    counts = np.rint(rep.pairwise_empirical * n).astype(np.int64)
+    assert (counts.sum(axis=1) == n).all()
+    per_cw = [(n - int(counts[i, i])) / n for i in range(j)]
+    emp, bound, hw = (np.empty((j, j)) for _ in range(3))
+    for i in range(j):
+        for k in range(j):
+            emp[i, k] = int(counts[i, k]) / n
+            hw[i, k] = wilson_halfwidth(int(counts[i, k]), n)
+            dy, dz = (cb.points[i] - cb.points[k]).tolist()
+            b = bhattacharyya_exact(Displacement(dy, dz), array, scene)
+            bound[i, k] = 1.0 if i == k else np.exp(-l * b)
+    worst = int(np.argmax(per_cw))
+    return (per_cw, emp, bound, hw, max(per_cw),
+            wilson_halfwidth(n - int(counts[worst, worst]), n))
+
+
+def _report_cases(ref_array, ref_scene, small_array):
+    rng = np.random.default_rng(16)
+    full = make_codebook(rng.uniform(-1, 1, size=(16, 2)), ref_array, ref_scene)
+    return [(ref_array, ref_scene, full), _j_above_m_setup(),
+            (small_array, ref_scene,
+             make_codebook(COINCIDENT, small_array, ref_scene))]
+
+
+def test_report_tables_match_per_entry_reference(ref_array, ref_scene, small_array):
+    # J = 16, J > M and coincident codewords, bit for bit
+    for arr, sc, cb in _report_cases(ref_array, ref_scene, small_array):
+        rep = estimate_errors(cb, 300, 9, sc, arr)
+        per_cw, emp, bound, hw, max_err, hw_max = _per_entry_tables(rep, cb, sc, arr)
+        j = len(cb)
+        assert rep.per_codeword_error.shape == (j,)
+        assert rep.per_codeword_error.tolist() == per_cw
+        for got, want in ((rep.pairwise_empirical, emp), (rep.pairwise_bound, bound),
+                          (rep.pairwise_halfwidth, hw)):
+            assert got.shape == (j, j)
+            assert got.tolist() == want.tolist()
+        assert rep.max_error == max_err
+        assert rep.wilson_halfwidth_95 == hw_max
+
+
+def test_report_tables_are_read_only(sim_setup):
+    arr, sc, cb = sim_setup
+    rep = estimate_errors(cb, 100, 5, sc, arr)
+    for name in ("per_codeword_error", "pairwise_empirical", "pairwise_bound",
+                 "pairwise_halfwidth"):
+        table = getattr(rep, name)
+        assert isinstance(table, np.ndarray) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+
+
+def test_wilson_halfwidth_of_an_array_is_the_scalar_per_entry():
+    counts = np.array([[0, 1, 37], [500, 999, 1000]])
+    got = wilson_halfwidth(counts, 1000)
+    assert got.tolist() == [[wilson_halfwidth(int(c), 1000) for c in row]
+                            for row in counts]
+
+
+def _per_pair_violations(rep) -> list[str]:
+    """Reference: the soundness gate as one check per ordered pair, in
+    row-major order."""
+    out = []
+    if rep.max_error > rep.union_bound_prediction + rep.wilson_halfwidth_95:
+        out.append(
+            f"max error {rep.max_error:.6g} exceeds union bound "
+            f"{rep.union_bound_prediction:.6g} + {rep.wilson_halfwidth_95:.6g}")
+    j = len(rep.per_codeword_error)
+    for i in range(j):
+        for k in range(j):
+            if i == k:
+                continue
+            emp = float(rep.pairwise_empirical[i][k])
+            cap = float(rep.pairwise_bound[i][k]) + float(rep.pairwise_halfwidth[i][k])
+            if emp > cap:
+                out.append(f"pairwise {i}->{k} rate {emp:.6g} exceeds "
+                           f"bound-plus-halfwidth {cap:.6g}")
+    return out
+
+
+def test_bound_violations_match_per_pair_reference():
+    j = 5
+    rng = np.random.default_rng(8)
+    emp = rng.uniform(0.0, 0.01, (j, j))
+    bound = rng.uniform(0.02, 0.05, (j, j))
+    hw = rng.uniform(0.001, 0.002, (j, j))
+    # off the diagonal: two violations planted out of row-major order of
+    # planting, and one cell exactly at its cap, which is no violation
+    emp[4, 0] = 0.3
+    emp[1, 3] = 0.5
+    emp[2, 4] = bound[2, 4] + hw[2, 4]
+    emp[3, 3] = 0.9  # the diagonal is never checked
+    rep = simulate.SimReport(
+        trials=1000, per_codeword_error=1.0 - emp.diagonal(), max_error=0.9,
+        wilson_halfwidth_95=0.01, union_bound_prediction=0.5, b_min=1.0,
+        pairwise_empirical=emp, pairwise_bound=bound, pairwise_halfwidth=hw,
+        seed=0)
+    got = rep.bound_violations()
+    assert got == _per_pair_violations(rep)
+    assert [m.split(" rate")[0] for m in got[1:]] == ["pairwise 1->3", "pairwise 4->0"]
+    assert got[0].startswith("max error 0.9 exceeds union bound 0.5")
+    # nothing planted, nothing reported
+    clean = simulate.SimReport(
+        trials=1000, per_codeword_error=np.zeros(j), max_error=0.0,
+        wilson_halfwidth_95=0.0, union_bound_prediction=0.0, b_min=1.0,
+        pairwise_empirical=np.zeros((j, j)), pairwise_bound=bound,
+        pairwise_halfwidth=hw, seed=0)
+    assert clean.bound_violations() == []
