@@ -54,10 +54,33 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
 
 # --- support-constrained bound via Frank-Wolfe --------------------------------
 
-def _cross_row(ay: np.ndarray, az: np.ndarray, k: int) -> np.ndarray:
-    """a_k^H a_j for every atom a_j = ay[j // len(az)] (x) az[j % len(az)]."""
+def _factor_rows(ay: np.ndarray, az: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis inner-product rows (ay[iy]^H ay^T, az[iz]^H az^T) of atom
+    k = iy len(az) + iz: a_k^H a_j = gy[j // len(az)] gz[j % len(az)]."""
     iy, iz = divmod(k, len(az))
-    return np.outer(ay[iy].conj() @ ay.T, az[iz].conj() @ az.T).ravel()
+    return ay[iy].conj() @ ay.T, az[iz].conj() @ az.T
+
+
+def _fw_h(gy: np.ndarray, gz: np.ndarray, idx, d: np.ndarray) -> np.ndarray:
+    """H = I + D C D, D = diag(d), of the active atoms idx with factor rows
+    gy, gz: C[i, j] = a_i^H a_j = gy[i, idx_j // nz] gz[i, idx_j % nz]."""
+    iy, iz = np.divmod(idx, gz.shape[1])
+    return np.eye(len(d)) + d[:, None] * (gy[:, iy] * gz[:, iz]) * d[None, :]
+
+
+def _fw_scores(gy: np.ndarray, gz: np.ndarray, h: np.ndarray,
+               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores s_k = a_k^H (I + g Q)^-1 a_k of every atom, and the block Y
+    they come from, for Q = sum_i w_i a_i a_i^H, d = sqrt(g w) and
+    H = _fw_h(gy, gz, idx, d) = L L^H.  By Woodbury s_k = 1 - |Y[:, k]|^2
+    with Y = L^-1 D X, column k of X being a_i^H a_k; row r of Y is the
+    ny x nz block gy^T diag(L^-1[r] d) gz, so X is never formed."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(h))
+    y = np.matmul(gy.T * (l_inv * d)[:, None, :], gz).reshape(len(d), -1)
+    s = 1.0 - np.einsum("rk,rk->k", y.real, y.real)
+    s -= np.einsum("rk,rk->k", y.imag, y.imag)
+    return s, y
 
 
 def _fw_maximize(ay: np.ndarray, az: np.ndarray, gamma0: float, iters: int,
@@ -68,48 +91,52 @@ def _fw_maximize(ay: np.ndarray, az: np.ndarray, gamma0: float, iters: int,
     converged, duality gap bits).  A general atom set passes as
     (atoms, np.ones((1, 1))).
 
-    No atom is formed: the active atoms are tracked by their _cross_row
-    inner products (``cross``, active x K), and one Woodbury solve per
-    iteration gives every score s_k = a_k^H (I + g Q)^-1 a_k.  Each step
-    moves weight from the live active atom a with the lowest score to the
-    atom p with the highest.  The step's pencil has rank two, so the exact
-    line search is t* = (s_p - s_a) / (2 g (s_p s_a - |p^H (I + g Q)^-1 a|^2)),
+    No atom is formed: each active atom is kept as its two _factor_rows
+    (``gy``, active x len(ay), and ``gz``, active x len(az)).  Each
+    iteration factors H = I + D C D = L L^H once, D = diag(sqrt(g w)) and C
+    the active atoms' inner products, and _fw_scores reads every score
+    s_k = a_k^H (I + g Q)^-1 a_k from L^-1 and the factor rows; a dropped
+    atom (w = 0) is a zero row of D.  H is also the matrix whose log det is
+    returned.  Each step moves weight from the live active atom a with the
+    lowest score to the atom p with the highest.  The step's pencil has rank
+    two, so the exact line search is
+    t* = (s_p - s_a) / (2 g (s_p s_a - |p^H (I + g Q)^-1 a|^2)),
     >= 0 as no score exceeds s_p, capped at w_a; coincident atoms (a
     denominator <= 0) take all of w_a.  A step of all of w_a leaves a with
     weight exactly 0 (a drop step)."""
     idx = [0]
     w = np.ones(1)
-    cross = _cross_row(ay, az, 0)[None, :]
+    gy, gz = (row[None, :] for row in _factor_rows(ay, az, 0))
     gap_nats = math.inf
     for _ in range(iters):
-        live = w > 1e-300  # weights sum to 1, so at least one is live
-        act = np.asarray(idx)[live]
-        c = cross[live]
-        b_inv = np.diag(1.0 / (gamma0 * w[live]))
-        sol = np.linalg.solve(b_inv + c[:, act], c)
-        s = 1.0 - np.einsum("ik,ik->k", c.conj(), sol).real
+        d = np.sqrt(gamma0 * w)
+        s, y = _fw_scores(gy, gz, _fw_h(gy, gz, idx, d), d)
         k_best = int(np.argmax(s))          # ties: lowest grid index wins
         gap_nats = gamma0 * (float(s[k_best]) - float(np.dot(w, s[idx])))
         if gap_nats / math.log(2) <= gap_tol_bits:
             break
-        away = int(np.flatnonzero(live)[np.argmin(s[act])])
-        if idx[away] == k_best:
+        live = np.flatnonzero(w > 1e-300)  # weights sum to 1: one is live
+        away = int(live[np.argmin(s[np.asarray(idx)[live]])])
+        k_away = idx[away]
+        if k_away == k_best:
             break  # no pairwise direction left: the step would be zero
         if k_best not in idx:
-            cross = np.vstack([cross, _cross_row(ay, az, k_best)[None, :]])
+            row_y, row_z = _factor_rows(ay, az, k_best)
+            gy, gz = np.vstack([gy, row_y]), np.vstack([gz, row_z])
             idx.append(k_best)
             w = np.append(w, 0.0)
         pos = idx.index(k_best)
-        s_p, s_a = float(s[k_best]), float(s[idx[away]])
-        v_pa = cross[pos, idx[away]] - np.vdot(c[:, k_best], sol[:, idx[away]])
+        s_p, s_a = float(s[k_best]), float(s[k_away])
+        iy, iz = divmod(k_away, len(az))
+        v_pa = gy[pos, iy] * gz[pos, iz] - np.vdot(y[:, k_best], y[:, k_away])
         den = 2.0 * gamma0 * (s_p * s_a - abs(v_pa) ** 2)
         t_star = min((s_p - s_a) / den, w[away]) if den > 0.0 else w[away]
         w[pos] += t_star
         w[away] -= t_star  # exactly 0 after a drop step (t_star == w[away])
-    sw = np.sqrt(np.maximum(w, 0.0))
-    h = np.eye(len(w)) + gamma0 * (sw[:, None] * cross[:, idx] * sw[None, :])
+    d = np.sqrt(gamma0 * w)
     gap_bits = gap_nats / math.log(2)
-    return float(np.linalg.slogdet(h)[1]), gap_bits <= gap_tol_bits, gap_bits
+    return (float(np.linalg.slogdet(_fw_h(gy, gz, idx, d))[1]),
+            gap_bits <= gap_tol_bits, gap_bits)
 
 
 def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> np.ndarray:

@@ -84,8 +84,9 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
         # caps on grid sizes, where a larger value takes GBs or fails to
         # allocate: a ray search's coarse grid is dnec_rays x 513 field
         # values, about 2^22 at the cap, and bounds refines the support grid
-        # to (2 n - 1)^2 atoms, about 2^20, each of whose Frank-Wolfe rows
-        # holds that many complex values
+        # to (2 n - 1)^2 atoms, about 2^20: an active Frank-Wolfe atom holds
+        # two rows of 2 n - 1 values, but each iteration's score block holds
+        # (2 n - 1)^2 complex values per active atom
         "dnec_rays": (int, 720, ">= 1 and <= 8192"),
         "dnec_tol_m": (float, 1e-5, ">= 0 and finite"),
         "support_grid_n": (int, 41, ">= 1 and <= 512"),

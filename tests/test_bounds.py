@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcom
 from embcom.arrays import (ArrayConfig, Position, SceneConfig, db_to_linear,
                            steering_vector)
 from embcom import arrays, bounds
-from embcom.bounds import (_cross_row, _fw_maximize, _support_grid_factors,
+from embcom.bounds import (_factor_rows, _fw_h, _fw_maximize, _fw_scores,
+                           _support_grid_factors,
                            binary_entropy, fano_bound, geo_bound_mainlobe,
                            info_bound_universal, optimal_snapshots,
                            packing_count, packing_rate, snap_info_support,
@@ -194,8 +200,38 @@ def test_fw_closed_form_step_matches_70_step_bisection(ref_array, ref_scene,
 def test_factored_cross_row_matches_atom_products(ref_array, ref_scene, k):
     atoms = support_grid_atoms(ref_scene, ref_array, 41)
     ay, az = _support_grid_factors(ref_scene, ref_array, 41)
-    row = _cross_row(ay, az, k)
-    assert np.abs(row - atoms[k].conj() @ atoms.T).max() <= 1e-13
+    # the cross row a_k^H a_j over every atom j is the outer product of the
+    # factor rows: a_j = ay[j // 41] (x) az[j % 41]
+    gy, gz = _factor_rows(ay, az, k)
+    assert np.abs(np.outer(gy, gz).ravel() - atoms[k].conj() @ atoms.T).max() \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("shape, grid_n", [((8, 4), 7), ((64, 16), 11)],
+                         ids=["8x4-grid7", "64x16-grid11"])
+def test_fw_scores_match_dense_inverse(shape, grid_n):
+    """The Cholesky scores s_k = 1 - |Y[:, k]|^2 against the explicit
+    a_k^H (I + g Q)^-1 a_k on the M x M matrix, for a mixture that holds a
+    dropped (zero-weight) atom; Y^H Y, whose entries give the step's v_pa,
+    against A^H A - A^H (I + g Q)^-1 A."""
+    arr = ArrayConfig(*shape)
+    sc = SceneConfig(100.0, 2.0, 2.0, db_to_linear(15), 1.0, 5, 1.0)
+    g = sc.snr_gamma0
+    ay, az = _support_grid_factors(sc, arr, grid_n)
+    atoms = support_grid_atoms(sc, arr, grid_n)
+    idx = [0, grid_n + 2, (grid_n * grid_n) // 2, grid_n * grid_n - 3]
+    w = np.array([0.4, 0.0, 0.35, 0.25])
+    rows = [_factor_rows(ay, az, k) for k in idx]
+    gy, gz = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    d = np.sqrt(g * w)
+    s, y = _fw_scores(gy, gz, _fw_h(gy, gz, idx, d), d)
+    inv = np.linalg.inv(np.eye(arr.m_total)
+                        + g * (atoms[idx].T * w) @ atoms[idx].conj())
+    dense = np.einsum("km,mn,kn->k", atoms.conj(), inv, atoms).real
+    assert np.abs(s - dense).max() <= 1e-12 * np.abs(dense).min()
+    gram = atoms.conj() @ atoms.T
+    assert np.abs(y.conj().T @ y - (gram - atoms.conj() @ inv @ atoms.T)).max() \
+        <= 1e-12
 
 
 def test_support_solve_never_forms_atom_matrix(ref_array, ref_scene, monkeypatch):
@@ -266,25 +302,26 @@ def test_fw_matches_multiplicative_oracle(problem):
 
 def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatch):
     """With no gap stop (tolerance 0) the run ends once the FW atom is also
-    the worst live atom, long before the cap, at the converged value.  At
-    15 dB the 7 x 7 grid's explicit atoms end that way; at 10 dB the exact
-    step reaches a zero gap first."""
+    the worst live atom, long before the cap, at the converged value.  That
+    takes scores tied to rounding, so which runs end that way depends on the
+    scoring arithmetic: with the Cholesky scores, the 7 x 7 grid's explicit
+    atoms at 0 dB do; at 10 dB the exact step reaches a zero gap first."""
     atoms = support_grid_atoms(ref_scene, small_array, 7)
-    g = db_to_linear(15)
+    g = db_to_linear(0)
     converged_nats, ok, _ = _fw_maximize(atoms, ONE, g, 5000, 1e-9)
     assert ok
-    solves = 0
-    solve = np.linalg.solve
+    factorizations = 0  # one Cholesky factorization per iteration
+    cholesky = np.linalg.cholesky
 
-    def counting_solve(*args):
-        nonlocal solves
-        solves += 1
-        return solve(*args)
+    def counting_cholesky(*args):
+        nonlocal factorizations
+        factorizations += 1
+        return cholesky(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     nats, converged, _ = _fw_maximize(atoms, ONE, g, 2000, 0.0)
     assert math.isfinite(nats) and abs(nats - converged_nats) <= 1e-12
-    assert not converged and solves < 2000
+    assert not converged and 0 < factorizations < 2000
 
 
 def test_fw_drop_step_zeroes_start_atom(small_array, monkeypatch):
@@ -341,11 +378,12 @@ def test_default_support_bound_converges():
                               cfg.get("solver", "fw_gap_tol_bits"))
 
 
-# closed-form-step pairwise FW values; the pairwise values of the line-search
-# bisection they replaced; and the duality gaps in bits of the vanilla FW
-# values before those (15 and 20 dB stopped at the 400-iteration cap)
-CLOSED_FORM_BITS = {0: 0.14770314292621567, 15: 3.585384624433317,
-                    20: 6.520577796102931}
+# closed-form-step pairwise FW values with Cholesky scoring; the pairwise
+# values of the line-search bisection they replaced; and the duality gaps in
+# bits of the vanilla FW values before those (15 and 20 dB stopped at the
+# 400-iteration cap)
+CLOSED_FORM_BITS = {0: 0.14770314292621567, 15: 3.585384624433315,
+                    20: 6.520577796102912}
 PAIRWISE_BITS = {0: 0.14770314292621767, 15: 3.5853846244332885,
                  20: 6.520577796102887}
 VANILLA_GAP_BITS = {0: 1e-6, 15: 2.2e-3, 20: 4.1e-6}
@@ -367,6 +405,29 @@ def test_support_solver_values_locked(ref_array, ref_scene, snr_db, vanilla_bits
     assert bits == CLOSED_FORM_BITS[snr_db]
     assert abs(bits - PAIRWISE_BITS[snr_db]) <= 1e-12
     assert vanilla_bits - 1e-6 <= bits <= vanilla_bits + VANILLA_GAP_BITS[snr_db]
+
+
+def test_support_bits_independent_of_blas_threads():
+    """snap_info_support at the five default SNRs gives the same bits with
+    one BLAS thread as with two, each in a fresh interpreter."""
+    src = Path(embcom.__file__).resolve().parents[1]
+    code = ("from embcom.arrays import db_to_linear\n"
+            "from embcom.bounds import snap_info_support\n"
+            "from embcom.config import load_config\n"
+            "cfg = load_config()\n"
+            "for db in cfg.get('sweep', 'snr_db_list'):\n"
+            "    print(repr(snap_info_support(\n"
+            "        cfg.scene.with_snr(db_to_linear(db)), cfg.array)))\n")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert len(out[0].split()) == 5 and out[0] == out[1]
 
 
 def test_packing_area_formula():
