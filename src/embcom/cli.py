@@ -22,8 +22,8 @@ from .codebook import (_CSV_FLOAT, _min_pairwise_b, _write_csv,
                        greedy_packing_baseline, hexagonal_design, make_codebook,
                        verify_codebook)
 from .config import RunConfig, load_config, resolved_items
-from .field import (bhattacharyya_grid, bhattacharyya_quadratic_grid,
-                    quadratic_params)
+from .field import (_row_blocks, bhattacharyya_grid,
+                    bhattacharyya_quadratic_grid, quadratic_params)
 from .simulate import estimate_errors
 from .sweep import (BoundPoint, LstarPoint, RatePoint, bound_sweep, lstar_sweep,
                     rate_sweep)
@@ -65,15 +65,9 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     params = quadratic_params(array, scene)
     dy = np.linspace(-hy, hy, n)
     dz = np.linspace(-hz, hz, n)
-    gy, gz = np.meshgrid(dy, dz, indexing="ij")
-    b_exact = bhattacharyya_grid(gy, gz, array, scene)
-    b_quad = bhattacharyya_quadratic_grid(gy, gz, params)
-    # the grid repeats each axis coordinate n times: format each one once
-    ty, tz = ([_CSV_FLOAT % v for v in axis.tolist()] for axis in (dy, dz))
-    rows = zip([t for t in ty for _ in tz], tz * n,
-               b_exact.ravel().tolist(), b_quad.ravel().tolist())
     _write_csv(out / "field_grid.csv", _header_lines(cfg),
-               ["dy", "dz", "b_exact", "b_quadratic"], rows)
+               ["dy", "dz", "b_exact", "b_quadratic"],
+               _field_rows(dy, dz, array, scene, params))
 
     psi = np.linspace(0.0, 2 * np.pi, npsi, endpoint=False)
     b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
@@ -81,6 +75,20 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "field_profile.csv", _header_lines(cfg),
                ["psi_rad", "b_exact"], zip(psi.tolist(), b_psi.tolist()))
     return EXIT_OK
+
+
+def _field_rows(dy, dz, array, scene, params):
+    """(dy, dz, exact field, quadratic surrogate) over the dy x dz grid in
+    row-major order, evaluated a block of dy rows at a time so memory does
+    not grow with the grid."""
+    # the grid repeats each axis coordinate: format each one once
+    ty, tz = ([_CSV_FLOAT % v for v in axis.tolist()] for axis in (dy, dz))
+    for rows in _row_blocks(dy.size, dz.size):
+        gy, gz = np.meshgrid(dy[rows], dz, indexing="ij")
+        b_exact = bhattacharyya_grid(gy, gz, array, scene)
+        b_quad = bhattacharyya_quadratic_grid(gy, gz, params)
+        for y, exact, quad in zip(ty[rows], b_exact, b_quad):
+            yield from zip([y] * len(tz), tz, exact.tolist(), quad.tolist())
 
 
 def _nn_axis_gaps(pts: np.ndarray) -> tuple[float, float]:

@@ -46,7 +46,9 @@ def _list(convert):
 
 
 # points of the field command's n x n grid (its profile has the same cap,
-# as a rule): more take GBs, and 10^7 x 10^7 fails to allocate at all
+# as a rule).  The grid is written a block of rows at a time, so there the
+# cap bounds run time and file size (2048 x 2048 writes 333 MB in about
+# 12 s); the profile is one field call, and 2^22 points take 420 MB RSS
 _MAX_FIELD_GRID = 1 << 22
 
 # section -> key -> (converter, default, rule); a None default means the key
@@ -81,11 +83,13 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, str | None]]] = {
                    ">= 1"),
     },
     "solver": {
-        # caps on grid sizes, where a larger value takes GBs or fails to
-        # allocate: a ray search's coarse grid is dnec_rays x 513 field
-        # values, about 2^22 at the cap, and bounds refines the support grid
-        # to (2 n - 1)^2 atoms, about 2^20: an active Frank-Wolfe atom holds
-        # two rows of 2 n - 1 values, but each iteration's score block holds
+        # caps on grid sizes.  A ray search marches its dnec_rays x 513
+        # coarse field values in blocks of at most 2^15, so its memory does
+        # not grow with dnec_rays and that cap bounds run time alone: the
+        # march is linear in dnec_rays.  bounds refines the support grid to
+        # (2 n - 1)^2 atoms, about 2^20 at the cap, where more take GBs or
+        # fail to allocate: an active Frank-Wolfe atom holds two rows of
+        # 2 n - 1 values, but each iteration's score block holds
         # (2 n - 1)^2 complex values per active atom
         "dnec_rays": (int, 720, ">= 1 and <= 8192"),
         "dnec_tol_m": (float, 1e-5, ">= 0 and finite"),

@@ -166,6 +166,11 @@ def bhattacharyya_quadratic_grid(dy: np.ndarray, dz: np.ndarray,
 
 # --- necessary Euclidean separation ------------------------------------------
 
+# field values per block of the ray search's coarse grid (and of `field`'s
+# grid): 256 KB per float array, so a block's temporaries stay in L2 cache
+_VALUES_PER_CALL = 1 << 15
+
+
 def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
                           n_rays: int = 720, tol: float = 1e-5) -> np.ndarray:
     """Necessary separation for every scene in ``scenes`` and every snapshot
@@ -174,16 +179,19 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     The scenes must share their geometry (distance_d, extent_y, extent_z);
     they may differ in SNR.  The steering correlation does not depend on the
     SNR, and the field does not depend on L (only the threshold
-    b_necessary(eps, L) does), so one coarse correlation grid serves the
-    whole batch and each scene turns it into its own field.  Entry (s, i) is
-    the radius of the largest origin-centered ball on which scene s's field
-    stays below b_necessary(eps, ls[i]): the first crossing radius along a
-    uniform grid of directions on [0, pi) (the field is even), found by
-    coarse marching plus bisection to ``tol`` meters, minimized over
-    directions.  Rays that never cross within the plane-difference diameter
-    are reported with one warning per scene and L; if no ray crosses, the
-    entry is inf (no two in-plane positions are distinguishable at this eps
-    and L).
+    b_necessary(eps, L) does), so each block of the coarse correlation grid
+    is evaluated once for the whole batch and each scene turns it into its
+    own field.  Entry (s, i) is the radius of the largest origin-centered
+    ball on which scene s's field stays below b_necessary(eps, ls[i]): the
+    first crossing radius along a uniform grid of directions on [0, pi) (the
+    field is even), found by coarse marching plus bisection to ``tol``
+    meters, minimized over directions.  Rays that never cross within the
+    plane-difference diameter are reported with one warning per scene and L;
+    if no ray crosses, the entry is inf (no two in-plane positions are
+    distinguishable at this eps and L).
+
+    The coarse grid is marched in blocks of consecutive rays holding at most
+    _VALUES_PER_CALL values, so memory does not grow with ``n_rays``.
     """
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
@@ -199,27 +207,44 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     n_steps = 512
     radii = np.linspace(0.0, r_max, n_steps + 1)
-    eta = steering_correlation_grid(np.outer(cos_psi, radii),
-                                    np.outer(sin_psi, radii), array, scenes[0])
+    kappas = [_kappa(scene.snr_gamma0) for scene in scenes]
+    # per scene, the field's maximum over the rays at each radius, and the
+    # number of rays whose maximum stays below each threshold (never cross)
+    col_max = np.full((len(scenes), n_steps + 1), -np.inf)
+    unreached = np.zeros((len(scenes), len(targets)), dtype=np.intp)
+    for rays in _row_blocks(n_rays, n_steps + 1):
+        eta = steering_correlation_grid(np.outer(cos_psi[rays], radii),
+                                        np.outer(sin_psi[rays], radii),
+                                        array, scenes[0])
+        for top, unbounded, kappa in zip(col_max, unreached, kappas):
+            b = _exponent(eta, kappa)
+            np.maximum(top, b.max(axis=0), out=top)
+            unbounded += np.count_nonzero(b.max(axis=1)[:, None] < targets,
+                                          axis=0)
+
     best = np.empty((len(scenes), len(targets)))
-    for row, scene in zip(best, scenes):
+    for row, scene, kappa, top, unbounded in zip(best, scenes, kappas,
+                                                 col_max, unreached):
         # a ray's first coarse crossing of a threshold is its first entry at
         # or above it; the smallest over the rays, k_min, is the first entry
         # of the running maximum of the column maxima at or above it
         # (n_steps + 1: no ray crosses)
-        b = _exponent(eta, _kappa(scene.snr_gamma0))
-        k_min = np.searchsorted(np.maximum.accumulate(b.max(axis=0)), targets)
-        unbounded = np.count_nonzero(b.max(axis=1)[:, None] < targets, axis=0)
+        k_min = np.searchsorted(np.maximum.accumulate(top), targets)
         # only the rays that first cross at k_min can set the minimum: a ray
         # first crossing at k > k_min keeps hi > radii[k - 1] >= radii[k_min],
         # where every k_min ray's hi starts.  No ray reaches a threshold
-        # before its k_min, so those rays are the ones at or above it there.
-        crosses = k_min <= n_steps
+        # before its k_min, so those rays are the ones at or above it there:
+        # the field is evaluated again on those columns alone
+        crosses = np.nonzero(k_min <= n_steps)[0]
         at_k_min = np.zeros((len(targets), n_rays), dtype=bool)
-        at_k_min[crosses] = b[:, k_min[crosses]].T >= targets[crosses, None]
-        # free the grid before the bisection allocates: kept until then, it
-        # ends up under small arrays and stays resident, raising peak RSS
-        del b
+        if crosses.size:
+            cols = radii[k_min[crosses]]
+            for rays in _row_blocks(n_rays, cols.size):
+                eta = steering_correlation_grid(np.outer(cos_psi[rays], cols),
+                                                np.outer(sin_psi[rays], cols),
+                                                array, scene)
+                at_k_min[crosses, rays] = (_exponent(eta, kappa)
+                                           >= targets[crosses]).T
 
         # bisect those (L, ray) pairs together, each until its own bracket
         # is within tol or its ends are adjacent floats
@@ -246,6 +271,13 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
                       f"gamma0={scene.snr_gamma0:.6g}, at L={l} (degenerate "
                       "or SNR-starved axis)")
     return best
+
+
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices of an n_rows x width grid, each holding at most
+    _VALUES_PER_CALL values (one row when a row holds more)."""
+    step = max(1, _VALUES_PER_CALL // width)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def necessary_separation_dnec(eps: float, l: int, array: ArrayConfig,

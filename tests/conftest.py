@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from embcom import ArrayConfig, SceneConfig, field
@@ -55,3 +57,19 @@ def call_log(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak = traced_peak(fn, *args)`` calls fn(*args) and returns the
+    most bytes that tracemalloc saw allocated at once during the call (numpy
+    reports its array buffers to it)."""
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -9,7 +9,7 @@ import pytest
 from embcom import bounds, config, field, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import optimal_snapshots, stationary_snapshots
-from embcom.cli import main
+from embcom.cli import cmd_field, main
 from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import _RULES, _SCHEMA, load_config
 
@@ -274,6 +274,12 @@ def test_field_rerun_byte_identical(tmp_path):
     first = (tmp_path / "field_grid.csv").read_bytes()
     assert run(tmp_path, *args) == 0
     assert (tmp_path / "field_grid.csv").read_bytes() == first
+
+
+def test_field_memory_does_not_grow_with_the_grid(tmp_path, traced_peak):
+    # the whole 600 x 600 grid, its lists and its coordinates traced 38.9 MiB
+    cfg = load_config(None, ["field.grid_points=600"])
+    assert traced_peak(cmd_field, cfg, tmp_path) <= 3 * 2 ** 20
 
 
 def test_codebook_design_and_verify_roundtrip(tmp_path):

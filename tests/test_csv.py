@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embcom import cli, codebook
+from embcom import cli, codebook, field
 from embcom.cli import main
 
 
@@ -102,6 +102,24 @@ def test_every_cli_table_matches_the_reference(tmp_path, written):
     for name, rows in written.items():
         assert rows, name
         assert data_lines(tmp_path / name) == reference_lines(rows), name
+
+
+@pytest.mark.parametrize("n", [2, 7, 81, 300])
+def test_field_grid_rows_are_the_whole_grid_values(tmp_path, n):
+    # the grid is evaluated a block of dy rows at a time (300 points: three
+    # blocks); its rows are the values of the whole grid evaluated at once
+    assert main(["--out", str(tmp_path), "--set", f"field.grid_points={n}",
+                 "field"]) == 0
+    cfg = cli.load_config(None, [f"field.grid_points={n}"])
+    gy, gz = np.meshgrid(np.linspace(-2.0, 2.0, n), np.linspace(-2.0, 2.0, n),
+                         indexing="ij")
+    b_exact = field.bhattacharyya_grid(gy, gz, cfg.array, cfg.scene)
+    b_quad = field.bhattacharyya_quadratic_grid(
+        gy, gz, field.quadratic_params(cfg.array, cfg.scene))
+    rows = zip(*(a.ravel().tolist() for a in (gy, gz, b_exact, b_quad)))
+    # compared as lists of lines: a diff of two 90,000-line strings takes minutes
+    assert (data_lines(tmp_path / "field_grid.csv").splitlines()
+            == reference_lines(rows).splitlines())
 
 
 @pytest.mark.parametrize("row", ["1,abc,0.3", "1,0.1,0.2,0.3", "1,0.5"])

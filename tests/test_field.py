@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from embcom import field
-from embcom.arrays import ArrayConfig, Displacement, Position, SceneConfig, steering_vector
+from embcom.arrays import (ArrayConfig, Displacement, Position, SceneConfig,
+                           steering_correlation_grid, steering_vector)
 from embcom.field import (b_codebook, b_necessary, bhattacharyya_exact,
                           bhattacharyya_grid, bhattacharyya_quadratic,
                           dnec_mainlobe, field_ceiling,
@@ -348,16 +349,123 @@ def test_scene_batch_warnings_name_snr_and_l(ref_array, ref_scene):
 
 
 @pytest.mark.parametrize("n_scenes", [1, 3])
-def test_one_correlation_grid_per_ray_search(call_log, ref_array, ref_scene,
-                                             n_scenes):
+def test_ray_search_marches_the_coarse_grid_in_blocks(call_log, ref_array,
+                                                      ref_scene, n_scenes):
     calls = call_log(field, "steering_correlation_grid")
     scenes = [ref_scene.with_snr(g) for g in (10.0, 100.0, 1000.0)[:n_scenes]]
+    ls, n_rays = (5, 20), 200
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        necessary_separations(1e-3, (5, 20), ref_array, scenes, n_rays=90)
-    coarse = [args for args in calls if np.ndim(args[0]) == 2]
-    assert [np.shape(args[0]) for args in coarse] == [(90, 513)]
-    assert all(np.ndim(args[0]) == 1 for args in calls[1:])  # bisection steps
+        necessary_separations(1e-3, ls, ref_array, scenes, n_rays=n_rays)
+    # the march comes first; then per scene the 2-D columns calls and the
+    # 1-D bisection steps
+    n_coarse = sum(np.shape(dy)[1:] == (513,) for dy, *_ in calls)
+    coarse, rest = calls[:n_coarse], calls[n_coarse:]
+    columns = [args for args in rest if np.ndim(args[0]) == 2]
+    assert all(np.ndim(dy) in (1, 2) for dy, *_ in rest)
+    assert all(np.size(dy) <= field._VALUES_PER_CALL
+               for dy, *_ in coarse + columns)
+    # the blocks' rows are the rays 0..n-1, each once and in order, and one
+    # march serves every scene
+    psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
+    radii = np.linspace(0.0, math.hypot(2.0, 2.0), 513)
+    assert np.array_equal(np.concatenate([dy for dy, *_ in coarse]),
+                          np.outer(np.cos(psi), radii))
+    assert np.array_equal(np.concatenate([dz for _, dz, *_ in coarse]),
+                          np.outer(np.sin(psi), radii))
+    assert len(coarse) == -(-n_rays // (field._VALUES_PER_CALL // 513))
+    # then each scene evaluates again, over every ray, only the coarse
+    # radii where some threshold is first reached: at most one per L
+    assert {scene for *_, scene in columns} == set(scenes)
+    for scene in scenes:
+        dy = np.concatenate([dy for dy, _, _, sc in columns if sc == scene])
+        cols = dy[0]  # ray 0 points along y: dy is the radius itself
+        assert 1 <= cols.size <= len(ls) and np.isin(cols, radii).all()
+        assert np.array_equal(dy, np.outer(np.cos(psi), cols))
+
+
+def one_grid_reference(eps, ls, array, scenes, n_rays=720, tol=1e-5):
+    """The batched ray search as it was before the coarse grid was marched in
+    blocks: the whole n_rays x 513 grid at once, then k_min, the never-crossing
+    counts and the k_min rays read from it."""
+    ls, scenes = list(ls), tuple(scenes)
+    targets = np.array([b_necessary(eps, int(l)) for l in ls], dtype=float)
+    r_max = float(np.hypot(scenes[0].extent_y, scenes[0].extent_z))
+    psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    n_steps = 512
+    radii = np.linspace(0.0, r_max, n_steps + 1)
+    eta = steering_correlation_grid(np.outer(cos_psi, radii),
+                                    np.outer(sin_psi, radii), array, scenes[0])
+    best = np.empty((len(scenes), len(targets)))
+    for row, scene in zip(best, scenes):
+        b = field._exponent(eta, field._kappa(scene.snr_gamma0))
+        k_min = np.searchsorted(np.maximum.accumulate(b.max(axis=0)), targets)
+        unbounded = np.count_nonzero(b.max(axis=1)[:, None] < targets, axis=0)
+        crosses = k_min <= n_steps
+        at_k_min = np.zeros((len(targets), n_rays), dtype=bool)
+        at_k_min[crosses] = b[:, k_min[crosses]].T >= targets[crosses, None]
+        li, ri = np.nonzero(at_k_min)
+        k = k_min[li]
+        lo, hi = radii[k - 1], radii[k]
+        c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
+        act = np.nonzero(hi - lo > tol)[0]
+        while act.size:
+            mid = 0.5 * (lo[act] + hi[act])
+            moves = (mid != lo[act]) & (mid != hi[act])
+            act, mid = act[moves], mid[moves]
+            up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
+            hi[act] = np.where(up, mid, hi[act])
+            lo[act] = np.where(up, lo[act], mid)
+            act = act[hi[act] - lo[act] > tol]
+        row[:] = np.inf
+        np.minimum.at(row, li, hi)
+        for l, n_unbounded in zip(ls, unbounded):
+            if n_unbounded:
+                warnings.warn(f"{n_unbounded}/{n_rays} rays never reach the necessary "
+                              f"threshold within the plane diameter at "
+                              f"gamma0={scene.snr_gamma0:.6g}, at L={l} (degenerate "
+                              "or SNR-starved axis)")
+    return best
+
+
+def with_warnings(search, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = search(*args)
+    return got, [str(w.message) for w in caught]
+
+
+RAYS_PER_BLOCK = field._VALUES_PER_CALL // 513
+
+
+@pytest.mark.parametrize("n_rays", [1, RAYS_PER_BLOCK - 1, RAYS_PER_BLOCK,
+                                    RAYS_PER_BLOCK + 1, 720, 8192])
+@pytest.mark.parametrize("m_z, distance", [(16, 100.0), (16, 20.0), (1, 100.0)])
+def test_blocked_ray_search_matches_one_grid(m_z, distance, n_rays):
+    # m_z = 1 leaves the rays near psi = pi/2 unbounded at every SNR
+    array = ArrayConfig(64, m_z)
+    scenes = [SceneConfig(distance, 2.0, 2.0, 10.0 ** (db / 10.0))
+              for db in SNRS_DB]
+    got, got_warned = with_warnings(necessary_separations, 1e-3,
+                                    DEFAULT_L_LIST, array, scenes, n_rays)
+    ref, ref_warned = with_warnings(one_grid_reference, 1e-3, DEFAULT_L_LIST,
+                                    array, scenes, n_rays)
+    assert np.array_equal(got, ref)  # bit for bit, inf == inf
+    assert got_warned == ref_warned
+
+
+@pytest.mark.parametrize("n_rays, bound_mib", [(720, 4), (8192, 16)])
+def test_ray_search_memory_does_not_grow_with_rays(traced_peak, ref_array,
+                                                    ref_scene, n_rays, bound_mib):
+    # the whole coarse grid and its temporaries traced 17.3 and 197 MiB here
+    scenes = [ref_scene.with_snr(10.0 ** (db / 10.0))
+              for db in (0.0, 5.0, 10.0, 15.0, 20.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak = traced_peak(necessary_separations, 1e-3, DEFAULT_L_LIST,
+                           ref_array, scenes, n_rays)
+    assert peak <= bound_mib * 2 ** 20
 
 
 def test_scene_batch_shapes_and_shared_geometry(ref_array, ref_scene):
