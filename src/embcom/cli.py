@@ -62,18 +62,18 @@ def cmd_field(cfg: RunConfig, out: Path) -> int:
     hz = cfg.get("field", "grid_half_z_m")
     radius = cfg.get("field", "profile_radius_m")
     npsi = cfg.get("field", "profile_points")
-    params = quadratic_params(array, scene)
     dy = np.linspace(-hy, hy, n)
     dz = np.linspace(-hz, hz, n)
     _write_csv(out / "field_grid.csv", _header_lines(cfg),
                ["dy", "dz", "b_exact", "b_quadratic"],
-               _field_rows(dy, dz, array, scene, params))
+               _field_rows(dy, dz, array, scene, quadratic_params(array, scene)))
 
-    psi = np.linspace(0.0, 2 * np.pi, npsi, endpoint=False)
-    b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
-                               array, scene)
-    _write_csv(out / "field_profile.csv", _header_lines(cfg),
-               ["psi_rad", "b_exact"], zip(psi.tolist(), b_psi.tolist()))
+    # angle k is k * step, bit for bit np.linspace(0, 2 pi, npsi, endpoint=False)[k]
+    step = 2 * np.pi / npsi
+    blocks = (np.arange(*rows.indices(npsi)) * step for rows in _row_blocks(npsi, 1))
+    _write_csv(out / "field_profile.csv", _header_lines(cfg), ["psi_rad", "b_exact"],
+               (row for p in blocks for row in zip(p.tolist(), bhattacharyya_grid(
+                   radius * np.cos(p), radius * np.sin(p), array, scene).tolist())))
     return EXIT_OK
 
 

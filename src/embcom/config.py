@@ -46,9 +46,9 @@ def _list(convert):
 
 
 # points of the field command's n x n grid (its profile has the same cap,
-# as a rule).  The grid is written a block of rows at a time, so there the
-# cap bounds run time and file size (2048 x 2048 writes 333 MB in about
-# 12 s); the profile is one field call, and 2^22 points take 420 MB RSS
+# as a rule).  The grid and the profile are written a block at a time, so
+# the cap bounds run time and file size, not memory (2048 x 2048 writes
+# 333 MB in about 12 s; 2^22 profile points peak at 35 MB RSS)
 _MAX_FIELD_GRID = 1 << 22
 
 # section -> key -> (converter, default, rule); a None default means the key

@@ -7,13 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arrays import ArrayConfig, SceneConfig, db_to_linear
-from .bounds import (closed_form_rate, fano_bound, geo_bound_mainlobe,
+from .bounds import (_best_l, closed_form_rate, fano_bound, geo_bound_mainlobe,
                      info_bound_universal, optimal_snapshots, packing_rate,
-                     snap_info_support, snap_info_universal,
-                     stationary_snapshots)
+                     snap_info_support, stationary_snapshots)
 from .codebook import hexagonal_designs
 from .field import necessary_separations
 
@@ -79,11 +76,11 @@ def _sweep_lists(**lists) -> list[list]:
 def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol,
                    rotation, offset_w):
     """Per SNR: (dB, scene at that SNR, [(scene at L, d_nec, hexagonal design
-    report) for each L]).  One necessary-separation call covers the whole
-    SNR list, so one steering-correlation grid serves every SNR, and one
-    hexagonal_designs call designs every (SNR, L) point on the lattice of
-    ``rotation`` and ``offset_w``.  The geometric converse's necessary
-    threshold needs eps < 1/2."""
+    report, universal and geometric converses, whether the rate respects
+    both) for each L]).  One necessary-separation call covers the whole SNR
+    list, and one hexagonal_designs call designs every (SNR, L) point on the
+    lattice of ``rotation`` and ``offset_w``.  The geometric converse's
+    necessary threshold needs eps < 1/2."""
     snr_db_list, l_list = _sweep_lists(snr_db_list=snr_db_list, l_list=l_list)
     if not 0 < eps < 0.5:
         raise ValueError("design.epsilon must be in (0, 1/2) for sweep and bounds, "
@@ -94,8 +91,13 @@ def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol,
     designs = iter(hexagonal_designs(eps, [sc for row in scenes for sc in row],
                                      array, rotation=rotation, offset_w=offset_w))
     for db, snr_scene, row, d_nec_row in zip(snr_db_list, snr_scenes, scenes, d_necs):
-        yield db, snr_scene, [(sc, d_nec, next(designs)[1])
-                              for sc, d_nec in zip(row, d_nec_row)]
+        points = []
+        for sc, d_nec in zip(row, d_nec_row):
+            rep = next(designs)[1]
+            c_univ, c_geo = info_bound_universal(eps, sc, array), packing_rate(d_nec, sc)
+            ok = all(rep.rate_bits_per_second <= c + 1e-12 for c in (c_univ, c_geo))
+            points.append((sc, d_nec, rep, c_univ, c_geo, ok))
+        yield db, snr_scene, points
 
 
 def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
@@ -109,22 +111,18 @@ def rate_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     at the lowest SNR).  ``n_rays`` and ``tol`` set the necessary-separation
     ray search behind the geometric converse, and ``rotation`` and
     ``offset_w`` the lattice of every design, as in hexagonal_designs."""
-    points = [(db, scene, d_nec, rep)
+    points = [(db, *point)
               for db, _, row in _design_points(eps, scene_template, array,
                                                snr_db_list, l_list, n_rays, tol,
                                                rotation, offset_w)
-              for scene, d_nec, rep in row]
+              for point in row]
     rate = {(db, scene.snapshots_l): rep.rate_bits_per_pulse
-            for db, scene, _, rep in points}
-    dbs = sorted({db for db, _, _, _ in points})
+            for db, scene, _, rep, *_ in points}
+    dbs = sorted({db for db, *_ in points})
     lower_db = dict(zip(dbs[1:], dbs))  # each SNR's nearest lower one
     rows = []
-    for db, scene, d_nec, rep in points:
+    for db, scene, _, rep, c_univ, c_geo, ok in points:
         l = scene.snapshots_l
-        c_univ = info_bound_universal(eps, scene, array)
-        c_geo = packing_rate(d_nec, scene)
-        ok = (rep.rate_bits_per_second <= c_univ + 1e-12
-              and rep.rate_bits_per_second <= c_geo + 1e-12)
         lower = rate[lower_db[db], l] if db in lower_db else 0.0
         mono = rep.rate_bits_per_pulse >= lower - 1e-12
         rows.append(RatePoint(db, scene.snr_gamma0, l, rep.j,
@@ -152,10 +150,9 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                                                 rotation, offset_w):
         l_cont, l_int = optimal_snapshots(eps, snr_scene, array, rotation=rotation,
                                           offset_w=offset_w)
-        c_univ_snap = snap_info_universal(snr_scene, array)
         n, n_fine = grid_n, 2 * grid_n - 1
         c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters, gap_tol_bits)
-        for scene, d_nec, rep in points:
+        for scene, d_nec, rep, c_univ, c_geo, ok in points:
             rate = rep.rate_bits_per_second
             c_sup = fano_bound(c_sup_snap, eps, scene)
             if rate > c_sup + 1e-9 and n < n_fine:
@@ -163,10 +160,7 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                 c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters,
                                                gap_tol_bits)
                 c_sup = fano_bound(c_sup_snap, eps, scene)
-            c_univ = fano_bound(c_univ_snap, eps, scene)
-            c_geo = packing_rate(d_nec, scene)
-            violation |= (rate > c_univ + 1e-12 or rate > c_geo + 1e-12
-                          or rate > c_sup + 1e-9)
+            violation |= not ok or rate > c_sup + 1e-9
             rows.append(BoundPoint(db, scene.snr_gamma0, scene.snapshots_l, rate,
                                    c_univ, c_sup, c_geo,
                                    geo_bound_mainlobe(eps, scene, array),
@@ -179,26 +173,22 @@ def closed_form_lstar_int(eps: float, scene: SceneConfig, array: ArrayConfig) ->
     smooth rate objective: the better of floor and ceil (clamped to >= 1)."""
     l_cont = stationary_snapshots(eps, scene, array)
     cands = sorted({max(1, math.floor(l_cont)), max(1, math.ceil(l_cont))})
-    rates = [closed_form_rate(l, eps, scene, array) for l in cands]
-    return cands[int(np.argmax(rates))]
+    return _best_l(cands, (closed_form_rate(l, eps, scene, array) for l in cands))
 
 
 def exhaustive_closed_form_lstar(eps: float, scene: SceneConfig,
                                  array: ArrayConfig) -> int:
     """Argmax of the smooth closed-form rate over L = 1..max(10, ceil(3 L*)
-    + 10), L* the stationary point (ties to the smaller L).  A range of more
-    than _MAX_EXHAUSTIVE_L values is rejected."""
+    + 10), L* the stationary point, under closed_form_lstar_int's tie rule
+    (bounds._best_l).  A range of more than _MAX_EXHAUSTIVE_L values is
+    rejected."""
     l_cont = stationary_snapshots(eps, scene, array)
     l_hi = max(10, int(math.ceil(3 * l_cont)) + 10)
     if l_hi > _MAX_EXHAUSTIVE_L:
         raise ValueError(f"the exhaustive L* check would scan L = 1..{l_hi:.3g}, "
                          f"more than {_MAX_EXHAUSTIVE_L} values")
-    best_l, best_r = 1, -1.0
-    for l in range(1, l_hi + 1):
-        r = closed_form_rate(l, eps, scene, array)
-        if r > best_r + 1e-15:
-            best_l, best_r = l, r
-    return best_l
+    ls = range(1, l_hi + 1)
+    return _best_l(ls, (closed_form_rate(l, eps, scene, array) for l in ls))
 
 
 def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,14 @@ import embcom
 from embcom.arrays import (ArrayConfig, Position, SceneConfig, db_to_linear,
                            steering_vector)
 from embcom import arrays, bounds
-from embcom.bounds import (_factor_rows, _fw_h, _fw_maximize, _fw_scores,
-                           _support_grid_factors,
+from embcom.bounds import (_best_l, _factor_rows, _fw_h, _fw_maximize,
+                           _fw_scores, _support_grid_factors,
                            binary_entropy, fano_bound, geo_bound_mainlobe,
                            info_bound_universal, optimal_snapshots,
                            packing_count, packing_rate, snap_info_support,
-                           snap_info_universal, support_grid_atoms)
-from embcom.codebook import hexagonal_design, xi_h_factor
+                           snap_info_universal, stationary_snapshots,
+                           support_grid_atoms)
+from embcom.codebook import hexagonal_design, hexagonal_designs, xi_h_factor
 from embcom.config import load_config
 from embcom.field import dnec_mainlobe, necessary_separation_dnec
 
@@ -516,3 +518,58 @@ def test_bound_report_ordering(ref_array, ref_scene):
     rate = hex_rep.rate_bits_per_second
     assert rate <= c_univ + 1e-12
     assert rate <= c_geo + 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def ulps_above(x, n):
+    """The float n representable steps above x."""
+    for _ in range(n):
+        x = np.nextafter(x, math.inf)
+    return float(x)
+
+
+@pytest.mark.parametrize("rates, best", [
+    ([0.7, 0.7, 0.7], 3),                      # exact ties keep the first L
+    ([0.7, ulps_above(0.7, 4), 0.7], 3),       # 4 ulps above is a tie
+    ([1.0, ulps_above(1.0, 4)], 3),            # 4 eps |best| at a power of 2
+    ([1.0, ulps_above(1.0, 5)], 4),            # beyond 4 ulps a later L wins
+    ([0.7, 0.7 * (1 + 16 * EPS), 0.7], 4),    # at 1e-6 a gain under 1e-15
+    ([0.0, 0.0, 0.0], 3),                      # all-zero rates: the first L
+    ([0.1, 0.3, 0.2, 0.3], 4),                 # the first L of the highest rate
+    ([0.3, 0.2, 0.1], 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_best_l_ties_are_scale_free(rates, best, scale):
+    ls = range(3, 3 + len(rates))
+    scaled = [r * scale for r in rates]
+    assert _best_l(ls, scaled) == best
+    # read one rate at a time: an iterator serves as well as a list
+    assert _best_l(iter(ls), iter(scaled)) == best
+
+
+def optimal_l_int_reference(eps, scene, array, rotation, offset_w):
+    """The integer L* of optimal_snapshots under its former absolute tie
+    margin: a later L wins only by more than 1e-15 bits per pulse."""
+    l_cont = stationary_snapshots(eps, scene, array)
+    lo = max(1, math.floor(l_cont) - 2)
+    hi = max(1, math.ceil(l_cont) + 2)
+    ls = range(lo, hi + 1)
+    designs = hexagonal_designs(eps, [scene.with_snapshots(l) for l in ls], array,
+                                rotation=rotation, offset_w=offset_w)
+    best_l, best_rate = lo, -1.0
+    for l, (_, rep) in zip(ls, designs):
+        if rep.rate_bits_per_pulse > best_rate + 1e-15:
+            best_l, best_rate = l, rep.rate_bits_per_pulse
+    return best_l
+
+
+@pytest.mark.parametrize("distance", [100.0, 20.0])
+@pytest.mark.parametrize("rotation", [0.0, 0.5])
+def test_optimal_snapshots_unchanged_by_the_scale_free_tie_rule(
+        ref_array, ref_scene, distance, rotation):
+    for db in range(-10, 51, 5):
+        scene = replace(ref_scene, distance_d=distance).with_snr(db_to_linear(db))
+        _, l_int = optimal_snapshots(1e-3, scene, ref_array, rotation=rotation)
+        assert l_int == optimal_l_int_reference(1e-3, scene, ref_array, rotation,
+                                                (0.0, 0.0)), db

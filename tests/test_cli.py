@@ -4,14 +4,16 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embcom import bounds, config, field, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import optimal_snapshots, stationary_snapshots
-from embcom.cli import cmd_field, main
-from embcom.codebook import _min_pairwise_b, hexagonal_design
+from embcom.cli import _header_lines, cmd_field, main
+from embcom.codebook import _min_pairwise_b, _write_csv, hexagonal_design
 from embcom.config import _RULES, _SCHEMA, load_config
+from embcom.field import bhattacharyya_grid
 
 
 SMALL_SIM = ["--set", "scene.snr_db=20", "--set", "sim.trials_per_codeword=300"]
@@ -280,6 +282,34 @@ def test_field_memory_does_not_grow_with_the_grid(tmp_path, traced_peak):
     # the whole 600 x 600 grid, its lists and its coordinates traced 38.9 MiB
     cfg = load_config(None, ["field.grid_points=600"])
     assert traced_peak(cmd_field, cfg, tmp_path) <= 3 * 2 ** 20
+
+
+def one_call_profile(cfg, path):
+    """field_profile.csv as written from one field call over every angle."""
+    npsi = cfg.get("field", "profile_points")
+    radius = cfg.get("field", "profile_radius_m")
+    psi = np.linspace(0.0, 2 * np.pi, npsi, endpoint=False)
+    b_psi = bhattacharyya_grid(radius * np.cos(psi), radius * np.sin(psi),
+                               cfg.array, cfg.scene)
+    _write_csv(path, _header_lines(cfg), ["psi_rad", "b_exact"],
+               zip(psi.tolist(), b_psi.tolist()))
+
+
+@pytest.mark.parametrize("npsi", [2, 7, 360, 2 ** 15 + 1, 2 ** 18])
+def test_field_profile_matches_one_field_call(tmp_path, npsi):
+    cfg = load_config(None, [f"field.profile_points={npsi}",
+                             "field.grid_points=2", f"output.directory={tmp_path}"])
+    assert cmd_field(cfg, tmp_path) == 0
+    one_call_profile(cfg, tmp_path / "reference.csv")
+    assert ((tmp_path / "field_profile.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_field_profile_memory_does_not_grow_with_the_profile(tmp_path,
+                                                             traced_peak):
+    # one field call over the 2^18 angles and its lists traced 20.2 MiB
+    cfg = load_config(None, ["field.profile_points=262144", "field.grid_points=2"])
+    assert traced_peak(cmd_field, cfg, tmp_path) <= 4 * 2 ** 20
 
 
 def test_codebook_design_and_verify_roundtrip(tmp_path):

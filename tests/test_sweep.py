@@ -1,17 +1,19 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from embcom import bounds, sweep
 from embcom.arrays import db_to_linear
-from embcom.bounds import (fano_bound, geo_bound_mainlobe, info_bound_universal,
-                           optimal_snapshots, packing_rate, snap_info_support,
-                           stationary_snapshots)
+from embcom.bounds import (closed_form_rate, fano_bound, geo_bound_mainlobe,
+                           info_bound_universal, optimal_snapshots, packing_rate,
+                           snap_info_support, stationary_snapshots)
 from embcom.codebook import hexagonal_design
 from embcom.config import load_config
 from embcom.field import necessary_separation_dnec
-from embcom.sweep import bound_sweep, lstar_sweep, rate_sweep
+from embcom.sweep import (bound_sweep, closed_form_lstar_int,
+                          exhaustive_closed_form_lstar, lstar_sweep, rate_sweep)
 
 SWEEP_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -159,3 +161,63 @@ def test_sweep_warnings_name_the_caller(ref_array, ref_scene):
         bound_sweep(1e-3, ref_scene, ref_array, (10.0,), (1, 5), n_rays=90)
     assert caught
     assert [w.filename for w in caught] == [__file__] * len(caught)
+
+
+def closed_form_lstar_int_reference(eps, scene, array):
+    """closed_form_lstar_int under its former rule: np.argmax of the floor
+    and ceil rates, ties to the first."""
+    l_cont = stationary_snapshots(eps, scene, array)
+    cands = sorted({max(1, math.floor(l_cont)), max(1, math.ceil(l_cont))})
+    rates = [closed_form_rate(l, eps, scene, array) for l in cands]
+    return cands[int(np.argmax(rates))]
+
+
+def test_closed_form_lstar_int_unchanged_by_the_scale_free_tie_rule(ref_array,
+                                                                    ref_scene):
+    for db in np.arange(-12.0, 40.25, 0.5):
+        scene = ref_scene.with_snr(db_to_linear(db))
+        assert closed_form_lstar_int(1e-3, scene, ref_array) == \
+            closed_form_lstar_int_reference(1e-3, scene, ref_array), db
+
+
+def test_exhaustive_lstar_agrees_with_the_closed_form_at_low_snr(ref_array,
+                                                                 ref_scene):
+    # rates near 1e-5 bits: adjacent L differ by about 1e-17, which an
+    # absolute 1e-15 tie margin took for ties (127831 against 127833)
+    scene = ref_scene.with_snr(db_to_linear(-14.0))
+    assert exhaustive_closed_form_lstar(1e-3, scene, ref_array) == \
+        closed_form_lstar_int(1e-3, scene, ref_array) == 127833
+
+
+def test_rate_and_bound_sweeps_share_one_converse_check(monkeypatch):
+    # the default grid, with the geometric converse forced to 0 at one
+    # point (20 dB, L = 5) where the design rate is positive
+    cfg = load_config()
+    packing = sweep.packing_rate
+    forced = (db_to_linear(20.0), 5)
+
+    def packing_rate_forced(d_nec, scene):
+        if (scene.snr_gamma0, scene.snapshots_l) == forced:
+            return 0.0
+        return packing(d_nec, scene)
+
+    monkeypatch.setattr(sweep, "packing_rate", packing_rate_forced)
+    args = (cfg.eps, cfg.scene, cfg.array, cfg.get("sweep", "snr_db_list"),
+            cfg.get("sweep", "l_list"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rays that never cross at 0 dB
+        rates = rate_sweep(*args)
+        bounds_rows, violation = bound_sweep(*args)
+    assert len(rates) == len(bounds_rows) == 70
+    for r, b in zip(rates, bounds_rows):
+        assert (r.gamma0_db, r.l) == (b.gamma0_db, b.l)
+        assert r.rate_bits_per_second == b.rate_lower
+        assert r.c_info_universal == b.c_info_universal
+        assert r.c_geo == b.c_geo
+    flagged = [b.rate_lower > b.c_info_universal + 1e-12
+               or b.rate_lower > b.c_geo + 1e-12 for b in bounds_rows]
+    assert [not r.sandwich_ok for r in rates] == flagged
+    assert [(r.gamma0, r.l) for r in rates if not r.sandwich_ok] == [forced]
+    # no support violation: the flag comes from the forced row alone
+    assert all(b.rate_lower <= b.c_info_support_grid + 1e-9 for b in bounds_rows)
+    assert violation
