@@ -54,6 +54,9 @@ def info_bound_universal(eps: float, scene: SceneConfig, array: ArrayConfig) -> 
 
 # --- support-constrained bound via Frank-Wolfe --------------------------------
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _factor_rows(ay: np.ndarray, az: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis inner-product rows (ay[iy]^H ay^T, az[iz]^H az^T) of atom
@@ -103,17 +106,24 @@ def _fw_maximize(ay: np.ndarray, az: np.ndarray, gamma0: float, iters: int,
     t* = (s_p - s_a) / (2 g (s_p s_a - |p^H (I + g Q)^-1 a|^2)),
     >= 0 as no score exceeds s_p, capped at w_a; coincident atoms (a
     denominator <= 0) take all of w_a.  A step of all of w_a leaves a with
-    weight exactly 0 (a drop step)."""
+    weight exactly 0 (a drop step).  It converges when the duality gap is
+    at most gap_tol_bits or at the scores' rounding level, gamma0 times
+    2 eps per active atom, which a zero tolerance can still reach."""
     idx = [0]
     w = np.ones(1)
     gy, gz = (row[None, :] for row in _factor_rows(ay, az, 0))
-    gap_nats = math.inf
+    gap_nats, converged = math.inf, False
     for _ in range(iters):
         d = np.sqrt(gamma0 * w)
         s, y = _fw_scores(gy, gz, _fw_h(gy, gz, idx, d), d)
         k_best = int(np.argmax(s))          # ties: lowest grid index wins
         gap_nats = gamma0 * (float(s[k_best]) - float(np.dot(w, s[idx])))
-        if gap_nats / math.log(2) <= gap_tol_bits:
+        # a score is 1 minus a sum over the active atoms, each term of
+        # which may round by about eps: a gap within gamma0 times twice
+        # that is rounding noise, where a zero tolerance stops
+        if (gap_nats / math.log(2) <= gap_tol_bits
+                or gap_nats <= 2.0 * _EPS * len(idx) * gamma0):
+            converged = True
             break
         live = np.flatnonzero(w > 1e-300)  # weights sum to 1: one is live
         away = int(live[np.argmin(s[np.asarray(idx)[live]])])
@@ -134,9 +144,8 @@ def _fw_maximize(ay: np.ndarray, az: np.ndarray, gamma0: float, iters: int,
         w[pos] += t_star
         w[away] -= t_star  # exactly 0 after a drop step (t_star == w[away])
     d = np.sqrt(gamma0 * w)
-    gap_bits = gap_nats / math.log(2)
-    return (float(np.linalg.slogdet(_fw_h(gy, gz, idx, d))[1]),
-            gap_bits <= gap_tol_bits, gap_bits)
+    return (float(np.linalg.slogdet(_fw_h(gy, gz, idx, d))[1]), converged,
+            gap_nats / math.log(2))
 
 
 def support_grid_atoms(scene: SceneConfig, array: ArrayConfig, grid_n: int) -> np.ndarray:
@@ -236,22 +245,32 @@ def _best_l(ls, rates) -> int:
     return int(best_l)
 
 
-def optimal_snapshots(eps: float, scene: SceneConfig, array: ArrayConfig,
+def optimal_snapshots(eps: float, scenes, array: ArrayConfig,
                       rotation: float = 0.0,
                       offset_w: tuple[float, float] = (0.0, 0.0),
-                      ) -> tuple[float, int]:
-    """Stationary point of the closed-form rate and its integer refinement.
+                      ) -> tuple[float, int] | list[tuple[float, int]]:
+    """Stationary point of the closed-form rate and its integer refinement,
+    as (L*_cont, L*_int) for one scene, or as a list of those pairs, in
+    order, for a sequence of scenes sharing distance_d, extent_y and
+    extent_z.
 
     The continuous optimum is stationary_snapshots.  The integer value
     re-evaluates the exact hexagonal-design rate on every integer within 2
-    of the stationary point (clamped to L >= 1), designed in one
-    hexagonal_designs call at the lattice ``rotation`` and ``offset_w``,
-    and picks the first L of the highest rate under _best_l's tie rule.
+    of the stationary point (clamped to L >= 1) and picks the first L of
+    the highest rate under _best_l's tie rule.  The windows of all the
+    scenes are designed in one hexagonal_designs call at the lattice
+    ``rotation`` and ``offset_w``; that call designs each scene as it would
+    alone, so a scene's pair does not depend on the others.
     """
-    l_cont = stationary_snapshots(eps, scene, array)
-    lo = max(1, math.floor(l_cont) - 2)
-    hi = max(1, math.ceil(l_cont) + 2)
-    ls = range(lo, hi + 1)
-    designs = hexagonal_designs(eps, [scene.with_snapshots(l) for l in ls], array,
-                                rotation=rotation, offset_w=offset_w)
-    return float(l_cont), _best_l(ls, (rep.rate_bits_per_pulse for _, rep in designs))
+    one = isinstance(scenes, SceneConfig)
+    scenes = (scenes,) if one else tuple(scenes)
+    l_conts = [stationary_snapshots(eps, sc, array) for sc in scenes]
+    windows = [range(max(1, math.floor(l) - 2), max(1, math.ceil(l) + 2) + 1)
+               for l in l_conts]
+    designs = iter(hexagonal_designs(
+        eps, [sc.with_snapshots(l) for sc, ls in zip(scenes, windows) for l in ls],
+        array, rotation=rotation, offset_w=offset_w))
+    pairs = [(float(l_cont),
+              _best_l(ls, [next(designs)[1].rate_bits_per_pulse for _ in ls]))
+             for l_cont, ls in zip(l_conts, windows)]
+    return pairs[0] if one else pairs

@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,10 @@ def _header_lines(cfg: RunConfig) -> list[str]:
 
 
 def _write_table(path: Path, cfg: RunConfig, row_type, rows) -> None:
-    """CSV of dataclass rows: one column per field of ``row_type``, in order."""
-    _write_csv(path, _header_lines(cfg), [f.name for f in fields(row_type)],
-               map(astuple, rows))
+    """CSV of dataclass rows: one column per field of ``row_type``, in order.
+    Each row's values are read as they are (astuple would deep-copy them)."""
+    names = [f.name for f in fields(row_type)]
+    _write_csv(path, _header_lines(cfg), names, map(attrgetter(*names), rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:

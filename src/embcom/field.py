@@ -177,21 +177,28 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     count in ``ls`` at once, as an array of shape (len(scenes), len(ls)).
 
     The scenes must share their geometry (distance_d, extent_y, extent_z);
-    they may differ in SNR.  The steering correlation does not depend on the
-    SNR, and the field does not depend on L (only the threshold
-    b_necessary(eps, L) does), so each block of the coarse correlation grid
-    is evaluated once for the whole batch and each scene turns it into its
-    own field.  Entry (s, i) is the radius of the largest origin-centered
-    ball on which scene s's field stays below b_necessary(eps, ls[i]): the
-    first crossing radius along a uniform grid of directions on [0, pi) (the
-    field is even), found by coarse marching plus bisection to ``tol``
-    meters, minimized over directions.  Rays that never cross within the
-    plane-difference diameter are reported with one warning per scene and L;
-    if no ray crosses, the entry is inf (no two in-plane positions are
-    distinguishable at this eps and L).
+    they may differ in SNR.  Entry (s, i) is the radius of the largest
+    origin-centered ball on which scene s's field stays below
+    b_necessary(eps, ls[i]): the first crossing radius along a uniform grid
+    of directions on [0, pi) (the field is even), found by coarse marching
+    plus bisection to ``tol`` meters, minimized over directions.  Rays that
+    never cross within the plane-difference diameter are reported with one
+    warning per scene and L; if no ray crosses, the entry is inf (no two
+    in-plane positions are distinguishable at this eps and L).
 
-    The coarse grid is marched in blocks of consecutive rays holding at most
-    _VALUES_PER_CALL values, so memory does not grow with ``n_rays``.
+    The steering correlation eta does not depend on the SNR, and the field
+    does not depend on L (only the threshold does), so the coarse
+    correlation grid is evaluated once for the whole batch, in blocks of
+    consecutive rays holding at most _VALUES_PER_CALL values: memory does
+    not grow with ``n_rays``.  Of that grid a scene needs only the field's
+    maximum over the rays at each radius and over the radii along each ray.
+    The field B = _exponent(eta, kappa) does not increase as eta grows, in
+    floating point too (1 - eta and the product with kappa >= 0 round
+    monotonically, and log1p is monotone, which a test checks at the kappas
+    of -10..50 dB), so the maximum of B over any set of eta values is B at
+    their minimum, bit for bit.  The march therefore keeps only the grid's
+    correlation minima, 513 + n_rays values, and each scene applies
+    _exponent to those alone.
     """
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
@@ -207,24 +214,25 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     n_steps = 512
     radii = np.linspace(0.0, r_max, n_steps + 1)
-    kappas = [_kappa(scene.snr_gamma0) for scene in scenes]
-    # per scene, the field's maximum over the rays at each radius, and the
-    # number of rays whose maximum stays below each threshold (never cross)
-    col_max = np.full((len(scenes), n_steps + 1), -np.inf)
-    unreached = np.zeros((len(scenes), len(targets)), dtype=np.intp)
+    # the coarse grid's correlation minima: over the rays at each radius,
+    # and over the radii along each ray
+    col_min = np.full(n_steps + 1, np.inf)
+    row_min = np.empty(n_rays)
     for rays in _row_blocks(n_rays, n_steps + 1):
         eta = steering_correlation_grid(np.outer(cos_psi[rays], radii),
                                         np.outer(sin_psi[rays], radii),
                                         array, scenes[0])
-        for top, unbounded, kappa in zip(col_max, unreached, kappas):
-            b = _exponent(eta, kappa)
-            np.maximum(top, b.max(axis=0), out=top)
-            unbounded += np.count_nonzero(b.max(axis=1)[:, None] < targets,
-                                          axis=0)
+        np.minimum(col_min, eta.min(axis=0), out=col_min)
+        eta.min(axis=1, out=row_min[rays])
 
     best = np.empty((len(scenes), len(targets)))
-    for row, scene, kappa, top, unbounded in zip(best, scenes, kappas,
-                                                 col_max, unreached):
+    for row, scene in zip(best, scenes):
+        kappa = _kappa(scene.snr_gamma0)
+        # the field's maximum over the rays at each radius, and the number
+        # of rays whose maximum stays below each threshold (never cross)
+        top = _exponent(col_min, kappa)
+        unbounded = np.count_nonzero(_exponent(row_min, kappa)[:, None]
+                                     < targets, axis=0)
         # a ray's first coarse crossing of a threshold is its first entry at
         # or above it; the smallest over the rays, k_min, is the first entry
         # of the running maximum of the column maxima at or above it

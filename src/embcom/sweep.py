@@ -141,15 +141,16 @@ def bound_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     grid point, and whether the rate exceeds any of them.  The support value
     is solved once per SNR; the first rate above it refines that SNR's grid
     once, to 2 n - 1 points per axis, kept for its remaining L values.
-    ``rotation`` and ``offset_w`` set the lattice of every design, the
-    optimal-snapshot window's included."""
+    ``rotation`` and ``offset_w`` set the lattice of every design; the
+    optimal-snapshot windows of every SNR are designed in one
+    optimal_snapshots call."""
+    snr_rows = list(_design_points(eps, scene_template, array, snr_db_list,
+                                   l_list, n_rays, tol, rotation, offset_w))
+    lstars = optimal_snapshots(eps, [snr_scene for _, snr_scene, _ in snr_rows],
+                               array, rotation=rotation, offset_w=offset_w)
     rows = []
     violation = False
-    for db, snr_scene, points in _design_points(eps, scene_template, array,
-                                                snr_db_list, l_list, n_rays, tol,
-                                                rotation, offset_w):
-        l_cont, l_int = optimal_snapshots(eps, snr_scene, array, rotation=rotation,
-                                          offset_w=offset_w)
+    for (db, snr_scene, points), (l_cont, l_int) in zip(snr_rows, lstars):
         n, n_fine = grid_n, 2 * grid_n - 1
         c_sup_snap = snap_info_support(snr_scene, array, n, fw_iters, gap_tol_bits)
         for scene, d_nec, rep, c_univ, c_geo, ok in points:
@@ -196,19 +197,20 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
                 offset_w: tuple[float, float] = (0.0, 0.0)) -> list[LstarPoint]:
     """Optimal snapshot count versus SNR: the continuous stationary point, its
     exact-design window refinement at the lattice ``rotation`` and
-    ``offset_w``, and the closed-form integer optimum with its exhaustive
+    ``offset_w`` (every SNR's window designed in one optimal_snapshots
+    call), and the closed-form integer optimum with its exhaustive
     cross-check."""
-    rows = []
-    for db in _sweep_lists(snr_db_list=snr_db_list)[0]:
-        g0 = db_to_linear(db)
-        scene = scene_template.with_snr(g0)
+    snr_db_list = _sweep_lists(snr_db_list=snr_db_list)[0]
+    scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
+    exhaustives = []
+    for db, scene in zip(snr_db_list, scenes):
         try:
-            exhaustive = exhaustive_closed_form_lstar(eps, scene, array)
+            exhaustives.append(exhaustive_closed_form_lstar(eps, scene, array))
         except ValueError as exc:
             raise ValueError(f"sweep.snr_db_list: at {db:g} dB {exc}") from None
-        l_cont, l_int = optimal_snapshots(eps, scene, array, rotation=rotation,
-                                          offset_w=offset_w)
-        rows.append(LstarPoint(db, g0, l_cont, l_int,
-                               closed_form_lstar_int(eps, scene, array),
-                               exhaustive))
-    return rows
+    lstars = optimal_snapshots(eps, scenes, array, rotation=rotation,
+                               offset_w=offset_w)
+    return [LstarPoint(db, scene.snr_gamma0, l_cont, l_int,
+                       closed_form_lstar_int(eps, scene, array), exhaustive)
+            for db, scene, (l_cont, l_int), exhaustive
+            in zip(snr_db_list, scenes, lstars, exhaustives)]

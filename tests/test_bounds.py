@@ -302,12 +302,11 @@ def test_fw_matches_multiplicative_oracle(problem):
     assert nats - 1e-12 <= oracle <= nats + gap_bits * math.log(2)
 
 
-def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatch):
-    """With no gap stop (tolerance 0) the run ends once the FW atom is also
-    the worst live atom, long before the cap, at the converged value.  That
-    takes scores tied to rounding, so which runs end that way depends on the
-    scoring arithmetic: with the Cholesky scores, the 7 x 7 grid's explicit
-    atoms at 0 dB do; at 10 dB the exact step reaches a zero gap first."""
+def test_fw_zero_tolerance_stops_at_rounding_level(small_array, ref_scene,
+                                                   monkeypatch):
+    """With a zero gap tolerance the run ends, converged, once the gap is at
+    the scores' rounding level, long before the cap, at the converged value
+    of a positive tolerance."""
     atoms = support_grid_atoms(ref_scene, small_array, 7)
     g = db_to_linear(0)
     converged_nats, ok, _ = _fw_maximize(atoms, ONE, g, 5000, 1e-9)
@@ -323,7 +322,31 @@ def test_fw_stops_when_best_atom_is_away_atom(small_array, ref_scene, monkeypatc
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     nats, converged, _ = _fw_maximize(atoms, ONE, g, 2000, 0.0)
     assert math.isfinite(nats) and abs(nats - converged_nats) <= 1e-12
-    assert not converged and 0 < factorizations < 2000
+    assert converged and 0 < factorizations < 2000
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 15.0, 20.0])
+def test_fw_zero_tolerance_converges_before_the_cap(ref_array, ref_scene, snr_db,
+                                                    monkeypatch):
+    """At these SNRs FW's gap stalls at 2e-15 to 5e-14 bits, which no
+    positive step closes: a zero tolerance stops there, before the cap and
+    without a warning, within 1e-12 bits of the default tolerance's value."""
+    sc = ref_scene.with_snr(db_to_linear(snr_db))
+    default = snap_info_support(sc, ref_array, 41, 400, 1e-6)
+    iterations = 0
+    scores = bounds._fw_scores
+
+    def counting_scores(*args):
+        nonlocal iterations
+        iterations += 1
+        return scores(*args)
+
+    monkeypatch.setattr(bounds, "_fw_scores", counting_scores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bits = snap_info_support(sc, ref_array, 41, 400, 0.0)
+    assert iterations < 400
+    assert abs(bits - default) <= 1e-12
 
 
 def test_fw_drop_step_zeroes_start_atom(small_array, monkeypatch):
@@ -573,3 +596,16 @@ def test_optimal_snapshots_unchanged_by_the_scale_free_tie_rule(
         _, l_int = optimal_snapshots(1e-3, scene, ref_array, rotation=rotation)
         assert l_int == optimal_l_int_reference(1e-3, scene, ref_array, rotation,
                                                 (0.0, 0.0)), db
+
+
+@pytest.mark.parametrize("distance", [100.0, 20.0])
+@pytest.mark.parametrize("rotation", [0.0, 0.5])
+def test_batched_optimal_snapshots_match_one_scene_at_a_time(
+        ref_array, ref_scene, distance, rotation):
+    scenes = [replace(ref_scene, distance_d=distance).with_snr(db_to_linear(db))
+              for db in range(-10, 51, 5)]
+    batched = optimal_snapshots(1e-3, scenes, ref_array, rotation=rotation)
+    alone = [optimal_snapshots(1e-3, sc, ref_array, rotation=rotation)
+             for sc in scenes]
+    assert batched == alone  # bit for bit
+    assert optimal_snapshots(1e-3, (), ref_array) == []

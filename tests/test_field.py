@@ -443,16 +443,52 @@ RAYS_PER_BLOCK = field._VALUES_PER_CALL // 513
                                     RAYS_PER_BLOCK + 1, 720, 8192])
 @pytest.mark.parametrize("m_z, distance", [(16, 100.0), (16, 20.0), (1, 100.0)])
 def test_blocked_ray_search_matches_one_grid(m_z, distance, n_rays):
-    # m_z = 1 leaves the rays near psi = pi/2 unbounded at every SNR
+    # m_z = 1 leaves the rays near psi = pi/2 unbounded at every SNR, and at
+    # -10 dB no ray crosses
     array = ArrayConfig(64, m_z)
     scenes = [SceneConfig(distance, 2.0, 2.0, 10.0 ** (db / 10.0))
-              for db in SNRS_DB]
+              for db in (-10.0,) + SNRS_DB]
     got, got_warned = with_warnings(necessary_separations, 1e-3,
                                     DEFAULT_L_LIST, array, scenes, n_rays)
     ref, ref_warned = with_warnings(one_grid_reference, 1e-3, DEFAULT_L_LIST,
                                     array, scenes, n_rays)
     assert np.array_equal(got, ref)  # bit for bit, inf == inf
     assert got_warned == ref_warned
+
+
+@pytest.mark.parametrize("n_rays", [90, 720])
+def test_coarse_phase_reads_only_the_correlation_minima(monkeypatch, ref_array,
+                                                         n_rays):
+    # the field of a scene is taken on the coarse grid's 513 radii only at
+    # their minimum over the rays (and on the n_rays rays at theirs over the
+    # radii), not on the whole n_rays x 513 grid
+    sizes = []
+    exponent = field._exponent
+
+    def spy(eta, kappa):
+        if np.shape(eta)[-1:] == (513,):
+            sizes.append(np.size(eta))
+        return exponent(eta, kappa)
+
+    monkeypatch.setattr(field, "_exponent", spy)
+    scenes = [SceneConfig(100.0, 2.0, 2.0, 10.0 ** (db / 10.0)) for db in SNRS_DB]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        necessary_separations(1e-3, DEFAULT_L_LIST, ref_array, scenes, n_rays)
+    assert len(sizes) >= len(scenes)
+    assert max(sizes) <= max(n_rays, 513)
+
+
+@pytest.mark.parametrize("snr_db", range(-10, 51, 5))
+def test_exponent_is_nonincreasing_in_eta(snr_db):
+    # the ray search reads each maximum of the field as the field at the
+    # minimum of eta, which needs this in floating point
+    kappa = field._kappa(10.0 ** (snr_db / 10.0))
+    near_one = 1.0 - np.arange(200_000) * np.finfo(float).epsneg
+    across = np.linspace(0.0, 1.0, 1_000_001)
+    for eta in (np.sort(near_one), across,
+                np.sort(np.random.default_rng(snr_db + 10).random(1_000_000))):
+        assert (np.diff(field._exponent(eta, kappa)) <= 0.0).all()
 
 
 @pytest.mark.parametrize("n_rays, bound_mib", [(720, 4), (8192, 16)])

@@ -53,13 +53,18 @@ def test_sweeps_design_every_point_in_one_call(call_log, ref_array, ref_scene):
         warnings.simplefilter("ignore")  # rays that never cross at 10 dB
         bound_sweep(1e-3, ref_scene, ref_array, (10.0, 20.0), (5, 14), n_rays=90,
                     grid_n=11)
-    # one for the sweep grid, one per SNR for optimal_snapshots' L window
-    assert len(designs) == 1 and len(windows) == 2
-    for db, (_, scenes, _) in zip((10.0, 20.0), windows):
-        l_cont = stationary_snapshots(1e-3, ref_scene.with_snr(db_to_linear(db)),
-                                      ref_array)
-        assert [sc.snapshots_l for sc in scenes] == list(range(
-            max(1, math.floor(l_cont) - 2), max(1, math.ceil(l_cont) + 2) + 1))
+    # one for the sweep grid, one for optimal_snapshots' L windows of every SNR
+    assert len(designs) == 1 and len(windows) == 1
+    expected = []
+    for db in (10.0, 20.0):
+        scene = ref_scene.with_snr(db_to_linear(db))
+        l_cont = stationary_snapshots(1e-3, scene, ref_array)
+        expected += [(scene.snr_gamma0, l) for l in range(
+            max(1, math.floor(l_cont) - 2), max(1, math.ceil(l_cont) + 2) + 1)]
+    assert [(sc.snr_gamma0, sc.snapshots_l) for sc in windows[0][1]] == expected
+    windows.clear()
+    lstar_sweep(1e-3, ref_scene, ref_array, (10.0, 20.0))
+    assert len(windows) == 1 and len(windows[0][1]) == len(expected)
 
 
 def test_lstar_int_near_monotone_in_snr(ref_array, ref_scene):
