@@ -248,11 +248,10 @@ def _best_l(ls, rates) -> int:
 def optimal_snapshots(eps: float, scenes, array: ArrayConfig,
                       rotation: float = 0.0,
                       offset_w: tuple[float, float] = (0.0, 0.0),
-                      ) -> tuple[float, int] | list[tuple[float, int]]:
+                      ) -> list[tuple[float, int]]:
     """Stationary point of the closed-form rate and its integer refinement,
-    as (L*_cont, L*_int) for one scene, or as a list of those pairs, in
-    order, for a sequence of scenes sharing distance_d, extent_y and
-    extent_z.
+    (L*_cont, L*_int), of every scene in ``scenes``, in order; the scenes
+    must share distance_d, extent_y and extent_z.
 
     The continuous optimum is stationary_snapshots.  The integer value
     re-evaluates the exact hexagonal-design rate on every integer within 2
@@ -262,15 +261,13 @@ def optimal_snapshots(eps: float, scenes, array: ArrayConfig,
     ``rotation`` and ``offset_w``; that call designs each scene as it would
     alone, so a scene's pair does not depend on the others.
     """
-    one = isinstance(scenes, SceneConfig)
-    scenes = (scenes,) if one else tuple(scenes)
+    scenes = tuple(scenes)
     l_conts = [stationary_snapshots(eps, sc, array) for sc in scenes]
     windows = [range(max(1, math.floor(l) - 2), max(1, math.ceil(l) + 2) + 1)
                for l in l_conts]
     designs = iter(hexagonal_designs(
         eps, [sc.with_snapshots(l) for sc, ls in zip(scenes, windows) for l in ls],
         array, rotation=rotation, offset_w=offset_w))
-    pairs = [(float(l_cont),
-              _best_l(ls, [next(designs)[1].rate_bits_per_pulse for _ in ls]))
-             for l_cont, ls in zip(l_conts, windows)]
-    return pairs[0] if one else pairs
+    return [(float(l_cont),
+             _best_l(ls, [next(designs)[1].rate_bits_per_pulse for _ in ls]))
+            for l_cont, ls in zip(l_conts, windows)]

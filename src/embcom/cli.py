@@ -110,7 +110,6 @@ def _lattice(cfg: RunConfig) -> dict:
 
 def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> int:
     array, scene, eps = cfg.array, cfg.scene, cfg.eps
-    params = quadratic_params(array, scene)
     if verify_path is not None:
         cb = codebook_from_csv(verify_path, array, scene)
         rep = verify_codebook(cb, eps, scene, array)
@@ -126,8 +125,9 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
 
     gap_y, gap_z = _nn_axis_gaps(cb.points)
     aniso = None
-    if params.alpha_y != params.alpha_z and math.isfinite(gap_y) and math.isfinite(gap_z):
-        finer_y = params.alpha_y > params.alpha_z
+    # alpha_y / alpha_z = (M_y^2 - 1) / (M_z^2 - 1): more elements, finer field
+    if array.m_y != array.m_z and math.isfinite(gap_y) and math.isfinite(gap_z):
+        finer_y = array.m_y > array.m_z
         aniso = bool(gap_y < gap_z) if finer_y else bool(gap_z < gap_y)
     manifest = {
         "mode": "design" if verify_path is None else "verify",

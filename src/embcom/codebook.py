@@ -12,8 +12,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig
 from .field import (_check_shared_geometry, _exponent, _kappa, axis_kernel,
-                    b_codebook, bhattacharyya_grid, field_ceiling,
-                    quadratic_params)
+                    b_codebook, bhattacharyya_grid, quadratic_params)
 
 __all__ = [
     "Codebook", "DesignReport", "make_codebook", "verify_codebook",
@@ -215,7 +214,7 @@ def _invert_field_along(directions, b_targets, kappas, array: ArrayConfig,
     """For each target i, the smallest radius t with B(t * directions[i]) >=
     b_targets[i], B the field at kappa = kappas[i] over the geometry of
     ``scene``, or None when that target is unreachable before a kernel null
-    along either axis.
+    along either axis (always so at or above the ceiling log1p(kappa)).
 
     Each result is, bit for bit, the target's own bisection on [0, hi] of at
     most 80 steps that stops once the bracket's ends are adjacent floats.
@@ -321,6 +320,12 @@ def _back_off(j: int) -> list[int]:
     return out
 
 
+def _check_design_axes(array: ArrayConfig) -> None:
+    """Reject an array with one element along an axis: no curvature there."""
+    if array.m_y < 2 or array.m_z < 2:
+        raise ValueError("hexagonal design requires at least 2 elements per axis")
+
+
 def hexagonal_design(eps: float, scene: SceneConfig, array: ArrayConfig,
                      rotation: float = 0.0,
                      offset_w: tuple[float, float] = (0.0, 0.0),
@@ -348,14 +353,14 @@ def hexagonal_designs(eps: float, scenes, array: ArrayConfig,
 
     The field inversions run batched (_invert_field_along): first every
     scene's first target size, then, for each scene whose first size failed,
-    every size of its back-off ladder down to 2, known up front.  Each
-    scene then builds and verifies those sizes in order until one passes, so
+    every size of its back-off ladder down to 2, known up front.  The
+    inversion alone decides which sizes are reachable.  Each scene then
+    builds and verifies its reachable sizes in order until one passes, so
     every design is the one a scene-at-a-time back-off finds, bit for bit.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if array.m_y < 2 or array.m_z < 2:
-        raise ValueError("hexagonal design requires at least 2 elements per axis")
+    _check_design_axes(array)
     scenes = tuple(scenes)
     if not scenes:
         return []
@@ -363,8 +368,6 @@ def hexagonal_designs(eps: float, scenes, array: ArrayConfig,
     u_w = np.array([math.cos(rotation), math.sin(rotation)])
     offset = np.asarray(offset_w)
     transforms, directions, gains, firsts = [], [], [], []
-    # a threshold at or above a scene's ceiling is never reached
-    ceilings = [field_ceiling(sc) for sc in scenes]
     for sc in scenes:
         transform = quadratic_params(array, sc).transform_t
         # whitened first-basis direction, mapped to the physical plane
@@ -381,18 +384,14 @@ def hexagonal_designs(eps: float, scenes, array: ArrayConfig,
     for first in (True, False):
         tries = [(i, j) for i, j0 in enumerate(firsts) if designs[i] is None
                  for j in ([j0] if first else _back_off(j0))]
-        targets = {}
-        for i, j in tries:
-            b_thr = b_codebook(j, eps, scenes[i].snapshots_l)
-            if b_thr < ceilings[i]:
-                targets[i, j] = b_thr * (1.0 + 1e-9)
-        if not targets:
+        if not tries:
             continue
-        spacings = dict(zip(targets, _invert_field_along(
-            [directions[i] for i, _ in targets], list(targets.values()),
-            [_kappa(scenes[i].snr_gamma0) for i, _ in targets], array, scenes[0])))
-        for i, j in tries:
-            s_phys = spacings.get((i, j))
+        spacings = _invert_field_along(
+            [directions[i] for i, _ in tries],
+            [b_codebook(j, eps, scenes[i].snapshots_l) * (1.0 + 1e-9)
+             for i, j in tries],
+            [_kappa(scenes[i].snr_gamma0) for i, _ in tries], array, scenes[0])
+        for (i, j), s_phys in zip(tries, spacings):
             if designs[i] is not None or s_phys is None:
                 continue
             sc, transform = scenes[i], transforms[i]

@@ -197,8 +197,11 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     monotonically, and log1p is monotone, which a test checks at the kappas
     of -10..50 dB), so the maximum of B over any set of eta values is B at
     their minimum, bit for bit.  The march therefore keeps only the grid's
-    correlation minima, 513 + n_rays values, and each scene applies
-    _exponent to those alone.
+    correlation minima, 513 + n_rays values, and takes every scene's field
+    on those alone.  One more pass, on the distinct radii where some (scene,
+    L) pair is first crossed, and one bisection over every (scene, L, ray)
+    triple, each at its scene's kappa, serve every scene: the field calls
+    do not grow with the number of scenes.
     """
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
@@ -225,59 +228,55 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
         np.minimum(col_min, eta.min(axis=0), out=col_min)
         eta.min(axis=1, out=row_min[rays])
 
-    best = np.empty((len(scenes), len(targets)))
-    for row, scene in zip(best, scenes):
-        kappa = _kappa(scene.snr_gamma0)
-        # the field's maximum over the rays at each radius, and the number
-        # of rays whose maximum stays below each threshold (never cross)
-        top = _exponent(col_min, kappa)
-        unbounded = np.count_nonzero(_exponent(row_min, kappa)[:, None]
-                                     < targets, axis=0)
-        # a ray's first coarse crossing of a threshold is its first entry at
-        # or above it; the smallest over the rays, k_min, is the first entry
-        # of the running maximum of the column maxima at or above it
-        # (n_steps + 1: no ray crosses)
-        k_min = np.searchsorted(np.maximum.accumulate(top), targets)
-        # only the rays that first cross at k_min can set the minimum: a ray
-        # first crossing at k > k_min keeps hi > radii[k - 1] >= radii[k_min],
-        # where every k_min ray's hi starts.  No ray reaches a threshold
-        # before its k_min, so those rays are the ones at or above it there:
-        # the field is evaluated again on those columns alone
-        crosses = np.nonzero(k_min <= n_steps)[0]
-        at_k_min = np.zeros((len(targets), n_rays), dtype=bool)
-        if crosses.size:
-            cols = radii[k_min[crosses]]
-            for rays in _row_blocks(n_rays, cols.size):
-                eta = steering_correlation_grid(np.outer(cos_psi[rays], cols),
-                                                np.outer(sin_psi[rays], cols),
-                                                array, scene)
-                at_k_min[crosses, rays] = (_exponent(eta, kappa)
-                                           >= targets[crosses]).T
+    # per scene (a row): the running maximum over the radii of the field's
+    # maximum over the rays, and per L the rays that never cross
+    kappa = np.array([[_kappa(sc.snr_gamma0)] for sc in scenes])
+    top = np.maximum.accumulate(_exponent(col_min, kappa), axis=1)
+    unbounded = np.count_nonzero(_exponent(row_min, kappa)[:, :, None]
+                                 < targets, axis=1)
+    # a ray's first coarse crossing of a threshold is its first entry at or
+    # above it; the smallest over the rays, k_min, is the count of entries
+    # of top's row below it (n_steps + 1: no ray crosses).  Only the rays
+    # first crossing at k_min can set the minimum: a ray first crossing at
+    # k > k_min keeps hi > radii[k - 1] >= radii[k_min], where every k_min
+    # ray's hi starts.  No ray reaches a threshold before its k_min, so
+    # those rays are the ones at or above it there
+    k_min = np.count_nonzero(top[:, :, None] < targets, axis=1)
+    si, li = np.nonzero(k_min <= n_steps)
+    ks, col = np.unique(k_min[si, li], return_inverse=True)
+    at_k_min = np.zeros((si.size, n_rays), dtype=bool)
+    for rays in _row_blocks(n_rays, si.size) if si.size else ():
+        eta = steering_correlation_grid(np.outer(cos_psi[rays], radii[ks]),
+                                        np.outer(sin_psi[rays], radii[ks]),
+                                        array, scenes[0])
+        at_k_min[:, rays] = (_exponent(eta[:, col], kappa[si, 0])
+                             >= targets[li]).T
 
-        # bisect those (L, ray) pairs together, each until its own bracket
-        # is within tol or its ends are adjacent floats
-        li, ri = np.nonzero(at_k_min)
-        k = k_min[li]
-        lo, hi = radii[k - 1], radii[k]
-        c, s, t = cos_psi[ri], sin_psi[ri], targets[li]
-        act = np.nonzero(hi - lo > tol)[0]
-        while act.size:
-            mid = 0.5 * (lo[act] + hi[act])
-            moves = (mid != lo[act]) & (mid != hi[act])
-            act, mid = act[moves], mid[moves]
-            up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scene) >= t[act]
-            hi[act] = np.where(up, mid, hi[act])
-            lo[act] = np.where(up, lo[act], mid)
-            act = act[hi[act] - lo[act] > tol]
+    # bisect every (scene, L, ray) triple together, each until its bracket
+    # is within tol or its ends are adjacent floats
+    pair, ri = np.nonzero(at_k_min)
+    si, li = si[pair], li[pair]
+    k = k_min[si, li]
+    lo, hi = radii[k - 1], radii[k]
+    c, s, t, kap = cos_psi[ri], sin_psi[ri], targets[li], kappa[si, 0]
+    act = np.nonzero(hi - lo > tol)[0]
+    while act.size:
+        mid = 0.5 * (lo[act] + hi[act])
+        moves = (mid != lo[act]) & (mid != hi[act])
+        act, mid = act[moves], mid[moves]
+        up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scenes[0],
+                                kap[act]) >= t[act]
+        hi[act] = np.where(up, mid, hi[act])
+        lo[act] = np.where(up, lo[act], mid)
+        act = act[hi[act] - lo[act] > tol]
 
-        row[:] = np.inf
-        np.minimum.at(row, li, hi)
-        for l, n_unbounded in zip(ls, unbounded):
-            if n_unbounded:
-                _warn(f"{n_unbounded}/{n_rays} rays never reach the necessary "
-                      f"threshold within the plane diameter at "
-                      f"gamma0={scene.snr_gamma0:.6g}, at L={l} (degenerate "
-                      "or SNR-starved axis)")
+    best = np.full((len(scenes), len(targets)), np.inf)
+    np.minimum.at(best, (si, li), hi)
+    for j, i in zip(*np.nonzero(unbounded)):  # scene by scene, then L
+        _warn(f"{unbounded[j, i]}/{n_rays} rays never reach the necessary "
+              f"threshold within the plane diameter at "
+              f"gamma0={scenes[j].snr_gamma0:.6g}, at L={ls[i]} (degenerate "
+              "or SNR-starved axis)")
     return best
 
 

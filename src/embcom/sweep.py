@@ -11,7 +11,7 @@ from .arrays import ArrayConfig, SceneConfig, db_to_linear
 from .bounds import (_best_l, closed_form_rate, fano_bound, geo_bound_mainlobe,
                      info_bound_universal, optimal_snapshots, packing_rate,
                      snap_info_support, stationary_snapshots)
-from .codebook import hexagonal_designs
+from .codebook import _check_design_axes, hexagonal_designs
 from .field import necessary_separations
 
 __all__ = ["RatePoint", "BoundPoint", "LstarPoint", "rate_sweep", "bound_sweep",
@@ -85,6 +85,7 @@ def _design_points(eps, scene_template, array, snr_db_list, l_list, n_rays, tol,
     if not 0 < eps < 0.5:
         raise ValueError("design.epsilon must be in (0, 1/2) for sweep and bounds, "
                          f"got {eps}")
+    _check_design_axes(array)
     snr_scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     d_necs = necessary_separations(eps, l_list, array, snr_scenes, n_rays, tol)
     scenes = [[sc.with_snapshots(int(l)) for l in l_list] for sc in snr_scenes]
@@ -201,6 +202,7 @@ def lstar_sweep(eps: float, scene_template: SceneConfig, array: ArrayConfig,
     call), and the closed-form integer optimum with its exhaustive
     cross-check."""
     snr_db_list = _sweep_lists(snr_db_list=snr_db_list)[0]
+    _check_design_axes(array)
     scenes = [scene_template.with_snr(db_to_linear(db)) for db in snr_db_list]
     exhaustives = []
     for db, scene in zip(snr_db_list, scenes):

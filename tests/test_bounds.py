@@ -370,18 +370,18 @@ def test_fw_drop_step_zeroes_start_atom(small_array, monkeypatch):
 
 
 def test_fw_coincident_atoms_take_the_drop_step(monkeypatch):
-    """At high SNR, atoms 1.3e-7 m apart are coincident to rounding: on this
-    set the step's denominator s_p s_a - |v_pa|^2 comes out <= 0.  The
-    step then takes the away atom's weight and no more, so the mixture stays
-    on the simplex (dividing by that denominator left weights near 1e5)."""
+    """Atoms 1.3e-9 m apart are coincident to rounding: on this set, at
+    g = 1000, the second step's denominator s_p s_a - |v_pa|^2 comes out
+    -2.8e-19 (2 g times it, -5.6e-16).  The step then takes the away atom's
+    weight and no more, so the mixture stays on the simplex (dividing by
+    that denominator instead leaves a negative weight)."""
     arr = ArrayConfig(8, 4)
     sc = SceneConfig(100.0, 2.0, 2.0, 10.0, 1.0, 5, 1.0)
-    pts = [(0.05233606100324306, -0.07124918421186743),
-           (0.05233619062165429, -0.07124918421186743),
-           (0.05233606100324306, -0.07124905459345621),
+    y0, z0, d = 0.05233606100324306, -0.07124918421186743, 1.333521432163324e-09
+    pts = [(y0, z0), (y0 + d, z0), (y0, z0 + d),
            (-0.7657871838968142, -0.5053175591902883)]
     atoms = np.array([steering_vector(Position(y, z), arr, sc) for y, z in pts])
-    g = 6058.087639808198
+    g = 1000.0
     final = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet",
@@ -501,7 +501,7 @@ def test_geo_bound_zero_when_unbounded(ref_array, ref_scene):
 
 
 def test_optimal_snapshots_closed_form(ref_array, ref_scene):
-    l_cont, l_int = optimal_snapshots(1e-3, ref_scene, ref_array)
+    l_cont, l_int = optimal_snapshots(1e-3, [ref_scene], ref_array)[0]
     q = -math.log(1e-3)
     y_star = 0.5 * (q + math.sqrt(q * q + 4 * q))
     assert q == pytest.approx(6.907755278982137, rel=1e-12)
@@ -519,8 +519,8 @@ def test_optimal_snapshots_closed_form(ref_array, ref_scene):
 
 
 def test_lstar_cont_inverse_in_xi(ref_array, ref_scene):
-    l1, _ = optimal_snapshots(1e-3, ref_scene.with_snr(10.0), ref_array)
-    l2, _ = optimal_snapshots(1e-3, ref_scene.with_snr(100.0), ref_array)
+    l1, _ = optimal_snapshots(1e-3, [ref_scene.with_snr(10.0)], ref_array)[0]
+    l2, _ = optimal_snapshots(1e-3, [ref_scene.with_snr(100.0)], ref_array)[0]
     assert l2 < l1
     ratio = xi_h_factor(ref_scene.with_snr(10.0), ref_array) / \
         xi_h_factor(ref_scene.with_snr(100.0), ref_array)
@@ -593,7 +593,7 @@ def test_optimal_snapshots_unchanged_by_the_scale_free_tie_rule(
         ref_array, ref_scene, distance, rotation):
     for db in range(-10, 51, 5):
         scene = replace(ref_scene, distance_d=distance).with_snr(db_to_linear(db))
-        _, l_int = optimal_snapshots(1e-3, scene, ref_array, rotation=rotation)
+        _, l_int = optimal_snapshots(1e-3, [scene], ref_array, rotation=rotation)[0]
         assert l_int == optimal_l_int_reference(1e-3, scene, ref_array, rotation,
                                                 (0.0, 0.0)), db
 
@@ -605,7 +605,7 @@ def test_batched_optimal_snapshots_match_one_scene_at_a_time(
     scenes = [replace(ref_scene, distance_d=distance).with_snr(db_to_linear(db))
               for db in range(-10, 51, 5)]
     batched = optimal_snapshots(1e-3, scenes, ref_array, rotation=rotation)
-    alone = [optimal_snapshots(1e-3, sc, ref_array, rotation=rotation)
+    alone = [optimal_snapshots(1e-3, [sc], ref_array, rotation=rotation)[0]
              for sc in scenes]
     assert batched == alone  # bit for bit
     assert optimal_snapshots(1e-3, (), ref_array) == []

@@ -527,6 +527,21 @@ def test_empty_sweep_list_rejected(tmp_path, capsys, monkeypatch, command, key):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "bounds", "lstar"])
+@pytest.mark.parametrize("axis", ["m_y", "m_z"])
+def test_single_element_axis_rejected_before_any_search(tmp_path, capsys,
+                                                        monkeypatch, recwarn,
+                                                        command, axis):
+    # the design's own rule, checked before the ray search, the closed-form
+    # L* and any warning: one error line, exit 1, nothing written
+    monkeypatch.setattr(sweep, "necessary_separations", None)
+    monkeypatch.setattr(sweep, "stationary_snapshots", None)
+    assert run(tmp_path, "--set", f"array.{axis}=1", command) == 1
+    assert capsys.readouterr().err == (
+        "error: hexagonal design requires at least 2 elements per axis\n")
+    assert len(recwarn) == 0 and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, key", [("sweep", "l_list"),
                                           ("lstar", "snr_db_list")])
 def test_list_of_only_commas_is_empty(tmp_path, capsys, command, key):
@@ -782,7 +797,8 @@ def test_sweeps_use_configured_lattice(tmp_path, sets, j_hex, l_star_int):
     assert _csv_column(tmp_path / "rate_sweep.csv", "j_hex") == [str(j_hex)]
     assert _csv_column(tmp_path / "bounds.csv", "rate_lower") == [
         f"{rep.rate_bits_per_second:.17g}"]
-    assert optimal_snapshots(cfg.eps, cfg.scene, cfg.array, **lattice)[1] == l_star_int
+    assert optimal_snapshots(cfg.eps, [cfg.scene], cfg.array,
+                             **lattice)[0][1] == l_star_int
     for name in ("bounds.csv", "lstar.csv"):
         assert _csv_column(tmp_path / name, "l_star_int") == [str(l_star_int)]
 

@@ -631,6 +631,31 @@ def test_batched_designs_match_one_at_a_time(ref_array, distance, rotation,
     assert len({rep.j for _, rep in got}) > 3
 
 
+def test_batched_designs_with_unreachable_ladders_match_one_at_a_time(ref_array):
+    # at 30 dB and L = 1, every size of the 9-size ladder, and at -10 and 0 dB
+    # the one size 2, has a threshold at or above the field ceiling: the
+    # inversion alone finds them unreachable, next to scenes that design
+    base = SceneConfig(100.0, 2.0, 2.0, 1.0, 1.0, 5, 1.0)
+    points = [(-10.0, 5), (30.0, 1), (30.0, 5), (20.0, 5), (0.0, 1), (30.0, 3)]
+    scenes = [base.with_snr(db_to_linear(db)).with_snapshots(l) for db, l in points]
+    got = codebook.hexagonal_designs(1e-3, scenes, ref_array)
+    assert_same_designs(got, [design_reference(1e-3, sc, ref_array) for sc in scenes])
+    assert_same_designs(got, [hexagonal_design(1e-3, sc, ref_array) for sc in scenes])
+    ladders = []
+    for sc, (cb, rep) in zip(scenes, got):
+        j0 = max(2, int(math.floor(codebook._hexagonal_size_cont(
+            1e-3, sc.snapshots_l, sc, ref_array))))
+        ladders.append([j0] + codebook._back_off(j0))
+        unreachable = all(b_codebook(j, 1e-3, sc.snapshots_l)
+                          >= field.field_ceiling(sc) for j in ladders[-1])
+        assert unreachable == (sc in scenes[:2] + scenes[4:5])
+        if unreachable:  # the center-point fallback
+            assert cb.points.tolist() == [[0.0, 0.0]] and rep.j == 1
+        else:
+            assert rep.j >= 2 and rep.feasible
+    assert len(ladders[1]) == 9
+
+
 @pytest.mark.parametrize("change", [dict(distance_d=50.0), dict(extent_y=1.0),
                                     dict(extent_z=1.5)])
 def test_batched_designs_share_one_geometry(ref_array, ref_scene, change):

@@ -357,8 +357,8 @@ def test_ray_search_marches_the_coarse_grid_in_blocks(call_log, ref_array,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         necessary_separations(1e-3, ls, ref_array, scenes, n_rays=n_rays)
-    # the march comes first; then per scene the 2-D columns calls and the
-    # 1-D bisection steps
+    # the march comes first; then the 2-D columns calls and the 1-D
+    # bisection steps
     n_coarse = sum(np.shape(dy)[1:] == (513,) for dy, *_ in calls)
     coarse, rest = calls[:n_coarse], calls[n_coarse:]
     columns = [args for args in rest if np.ndim(args[0]) == 2]
@@ -374,14 +374,20 @@ def test_ray_search_marches_the_coarse_grid_in_blocks(call_log, ref_array,
     assert np.array_equal(np.concatenate([dz for _, dz, *_ in coarse]),
                           np.outer(np.sin(psi), radii))
     assert len(coarse) == -(-n_rays // (field._VALUES_PER_CALL // 513))
-    # then each scene evaluates again, over every ray, only the coarse
-    # radii where some threshold is first reached: at most one per L
-    assert {scene for *_, scene in columns} == set(scenes)
+    # then one pass evaluates again, over every ray, only the distinct coarse
+    # radii where some scene first reaches some threshold
+    k_mins = set()
     for scene in scenes:
-        dy = np.concatenate([dy for dy, _, _, sc in columns if sc == scene])
-        cols = dy[0]  # ray 0 points along y: dy is the radius itself
-        assert 1 <= cols.size <= len(ls) and np.isin(cols, radii).all()
-        assert np.array_equal(dy, np.outer(np.cos(psi), cols))
+        b = bhattacharyya_grid(np.outer(np.cos(psi), radii),
+                               np.outer(np.sin(psi), radii), ref_array, scene)
+        k_mins.update(np.searchsorted(np.maximum.accumulate(b.max(axis=0)),
+                                      [b_necessary(1e-3, l) for l in ls]).tolist())
+    k_mins.discard(513)  # no ray crosses
+    assert len(k_mins) > n_scenes  # scenes and L values first cross apart
+    dy = np.concatenate([dy for dy, *_ in columns])
+    cols = dy[0]  # ray 0 points along y: dy is the radius itself
+    assert cols.tolist() == radii[sorted(k_mins)].tolist()
+    assert np.array_equal(dy, np.outer(np.cos(psi), cols))
 
 
 def one_grid_reference(eps, ls, array, scenes, n_rays=720, tol=1e-5):
@@ -459,15 +465,14 @@ def test_blocked_ray_search_matches_one_grid(m_z, distance, n_rays):
 @pytest.mark.parametrize("n_rays", [90, 720])
 def test_coarse_phase_reads_only_the_correlation_minima(monkeypatch, ref_array,
                                                          n_rays):
-    # the field of a scene is taken on the coarse grid's 513 radii only at
-    # their minimum over the rays (and on the n_rays rays at theirs over the
-    # radii), not on the whole n_rays x 513 grid
-    sizes = []
+    # the field of every scene is taken on the coarse grid's 513 radii only
+    # at their minimum over the rays, and on the n_rays rays at theirs over
+    # the radii, in one call each: the first two, with one kappa per scene
+    seen = []
     exponent = field._exponent
 
     def spy(eta, kappa):
-        if np.shape(eta)[-1:] == (513,):
-            sizes.append(np.size(eta))
+        seen.append((np.array(eta), np.array(kappa)))
         return exponent(eta, kappa)
 
     monkeypatch.setattr(field, "_exponent", spy)
@@ -475,8 +480,18 @@ def test_coarse_phase_reads_only_the_correlation_minima(monkeypatch, ref_array,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         necessary_separations(1e-3, DEFAULT_L_LIST, ref_array, scenes, n_rays)
-    assert len(sizes) >= len(scenes)
-    assert max(sizes) <= max(n_rays, 513)
+    psi = np.linspace(0.0, np.pi, n_rays, endpoint=False)
+    radii = np.linspace(0.0, math.hypot(2.0, 2.0), 513)
+    eta = steering_correlation_grid(np.outer(np.cos(psi), radii),
+                                    np.outer(np.sin(psi), radii), ref_array,
+                                    scenes[0])
+    kappas = [[field._kappa(sc.snr_gamma0)] for sc in scenes]
+    (col_eta, col_kappa), (row_eta, row_kappa), *rest = seen
+    assert np.array_equal(col_eta, eta.min(axis=0))
+    assert np.array_equal(row_eta, eta.min(axis=1))
+    assert col_kappa.tolist() == row_kappa.tolist() == kappas
+    # no later call takes the grid's radii
+    assert all(np.shape(e)[-1:] != (513,) for e, _ in rest)
 
 
 @pytest.mark.parametrize("snr_db", range(-10, 51, 5))
@@ -536,18 +551,19 @@ def test_dnec_rejects_bad_tolerance(capped_field, ref_array, ref_scene, tol):
 def test_bisection_starts_with_the_earliest_crossing_rays(call_log, ref_array,
                                                           distance):
     # per SNR and L, only the rays that first cross in the earliest coarse
-    # cell k_min over all rays are bisected: the first bisection call of each
-    # SNR holds exactly their (L, ray) pairs, at the midpoint of that cell
+    # cell k_min over all rays are bisected: the first bisection call holds
+    # exactly every SNR's (L, ray) pairs, each at the midpoint of that cell
+    # and at its SNR's kappa
     scenes = [SceneConfig(distance, 2.0, 2.0, 10.0 ** (db / 10.0))
               for db in SNRS_DB]
     radii = np.linspace(0.0, math.hypot(2.0, 2.0), 513)
     psi = np.linspace(0.0, np.pi, 90, endpoint=False)
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    expected, n_crossing = {}, 0
+    expected, n_crossing = [], 0
     for scene in scenes:
         coarse = bhattacharyya_grid(np.outer(cos_psi, radii),
                                     np.outer(sin_psi, radii), ref_array, scene)
-        pairs = []
+        kappa = field._kappa(scene.snr_gamma0)
         for l in DEFAULT_L_LIST:
             crossed = coarse >= b_necessary(1e-3, l)
             rays = np.nonzero(crossed.any(axis=1))[0]
@@ -557,17 +573,30 @@ def test_bisection_starts_with_the_earliest_crossing_rays(call_log, ref_array,
             first = crossed[rays].argmax(axis=1)
             k_min = first.min()
             mid = 0.5 * (radii[k_min - 1] + radii[k_min])
-            pairs += [(mid * cos_psi[i], mid * sin_psi[i])
-                      for i in rays[first == k_min]]
-        if pairs:
-            expected[scene.snr_gamma0] = sorted(pairs)
-    assert sum(map(len, expected.values())) < n_crossing  # rays are pruned
+            expected += [(mid * cos_psi[i], mid * sin_psi[i], kappa)
+                         for i in rays[first == k_min]]
+    assert len(expected) < n_crossing  # rays are pruned
+    assert len({kappa for *_, kappa in expected}) > 1  # SNRs share the call
 
     calls = call_log(field, "bhattacharyya_grid")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         necessary_separations(1e-3, DEFAULT_L_LIST, ref_array, scenes, n_rays=90)
-    got = {}
-    for dy, dz, _, scene in calls:
-        got.setdefault(scene.snr_gamma0, sorted(zip(dy.tolist(), dz.tolist())))
-    assert got == expected
+    dy, dz, _, _, kappa = calls[0]
+    assert sorted(zip(dy.tolist(), dz.tolist(), kappa.tolist())) == sorted(expected)
+
+
+def test_ray_search_field_calls_do_not_grow_with_scenes(call_log, ref_array,
+                                                        ref_scene):
+    # every scene's pairs bisect in the same field calls: at the default
+    # sweep, 10 halvings take a coarse cell of 5.5e-3 m to tol = 1e-5 m
+    scenes = [ref_scene.with_snr(10.0 ** (db / 10.0))
+              for db in (0.0, 5.0, 10.0, 15.0, 20.0)]
+    counts = []
+    for batch in (scenes[-1:], scenes):
+        calls = call_log(field, "bhattacharyya_grid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            necessary_separations(1e-3, DEFAULT_L_LIST, ref_array, batch)
+        counts.append(len(calls))
+    assert counts == [10, 10]

@@ -86,7 +86,7 @@ def test_lower_bound_below_upper_bounds(ref_array, ref_scene):
 def test_optimized_l_beats_single_snapshot(ref_array, ref_scene):
     for db in SWEEP_DB:
         sc = ref_scene.with_snr(db_to_linear(db))
-        _, l_int = optimal_snapshots(1e-3, sc, ref_array)
+        _, l_int = optimal_snapshots(1e-3, [sc], ref_array)[0]
         _, rep_opt = hexagonal_design(1e-3, sc.with_snapshots(l_int), ref_array)
         _, rep_one = hexagonal_design(1e-3, sc.with_snapshots(1), ref_array)
         assert rep_opt.rate_bits_per_pulse >= rep_one.rate_bits_per_pulse - 1e-12
@@ -131,7 +131,7 @@ def test_bound_sweep_matches_per_point_calls(ref_array, ref_scene):
                 1e-3, row.l, ref_array, sc, n_rays=90), sc)
             assert row.c_geo_mainlobe == geo_bound_mainlobe(1e-3, sc, ref_array)
             assert (row.l_star_cont, row.l_star_int) == optimal_snapshots(
-                1e-3, sc, ref_array)
+                1e-3, [sc], ref_array)[0]
 
 
 def test_bound_sweep_refines_support_grid_at_most_once(monkeypatch, ref_array,
