@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
 
-from .arrays import ArrayConfig, SceneConfig
+from .arrays import ArrayConfig, SceneConfig, _EPS, _dirichlet_sq
 from .field import (_check_shared_geometry, _exponent, _kappa, axis_kernel,
                     b_codebook, bhattacharyya_grid, quadratic_params)
 
@@ -55,6 +56,17 @@ class DesignReport:
 _PAIRS_PER_CALL = 1 << 16  # pairs per block of the worst-pair scan
 _MAX_CANDIDATES = 1 << 20  # entries of the greedy's grid and of each axis table
 _MAX_LATTICE_POINTS = 1 << 22  # lattice points one design may enumerate
+# J from which the worst-pair scan prunes; below it, every pair is evaluated
+# in one block of at most 126^2 < _PAIRS_PER_CALL pairs.  Measured on hexagonal
+# designs at D = 100 m (one x86-64 CPU, numpy 2.4, median of 31 alternating
+# calls), full against pruned: unrotated lattices, whose few distinct
+# coordinates make the full scan's kernel tables small, break even near
+# J = 160 (J = 143: 0.38 against 0.43 ms; J = 193: 0.62 against 0.48 ms);
+# lattices rotated by 0.3 rad near J = 80 (J = 129: 0.76 against 0.36 ms).
+# 128 costs the first at most 0.05 ms a scan and saves the second 0.4 ms.
+_PRUNED_SCAN_FROM_J = 128
+_MAX_CELLS = 1 << 30  # cells per axis of the pruned scan: keys fit in int64
+_LOBE_GRID = 1024  # main-lobe points at which _majorant_radius reads D^2
 
 
 def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
@@ -62,25 +74,144 @@ def _min_pairwise_b(pts: np.ndarray, array: ArrayConfig,
     """Worst pair (b_min, i, k), i < k: the first minimum of the exact field
     in row-major pair order, (inf, -1, -1) below two points.
 
-    Each block of rows holding about _PAIRS_PER_CALL pairs takes the field
-    over its rows x the columns k > its first row from per-axis kernel
-    tables, with k <= i set to inf, so the block's first argmin is its
-    first pair at the minimum; a later block wins only when strictly
-    smaller."""
+    Below _PRUNED_SCAN_FROM_J points every pair is evaluated in one block:
+    the field over the rows x the columns after the first row, from per-axis
+    kernel tables, with k <= i set to inf, so the first argmin is the first
+    pair at the minimum.  From there _pruned_min_pair finds the same pair,
+    bit for bit, evaluating only the pairs a kernel majorant cannot rule
+    out."""
     n = len(pts)
-    rows_per_call = max(1, _PAIRS_PER_CALL // max(n, 1))
+    if n < 2:
+        return math.inf, -1, -1
+    if n >= _PRUNED_SCAN_FROM_J:
+        return _pruned_min_pair(pts, array, scene)
+    rows, cols = pts[:-1], pts[1:]
+    b = _exponent(axis_kernel(rows[:, 0], cols[:, 0], array.m_y, scene)
+                  * axis_kernel(rows[:, 1], cols[:, 1], array.m_z, scene),
+                  _kappa(scene.snr_gamma0))
+    b[np.tri(n - 1, k=-1, dtype=bool)] = math.inf  # k <= i
+    i, k = divmod(int(b.argmin()), n - 1)
+    return float(b[i, k]), i, k + 1
+
+
+@lru_cache(maxsize=8)
+def _main_lobe(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_LOBE_GRID points u in (0, 1/m] of the main lobe, in kernel periods,
+    and D^2 there: _dirichlet_sq(u, m, 0.5) takes u / (2 * 0.5) = u."""
+    u = np.arange(1, _LOBE_GRID + 1) * (1.0 / m / _LOBE_GRID)
+    return u, _dirichlet_sq(u, m, 0.5)
+
+
+def _majorant_radius(c: float, m: int) -> float:
+    """The largest |u| <= 1/2, u a difference in kernel periods, at which
+    the non-increasing majorant of the squared Dirichlet kernel D^2 of m
+    elements, g(u) = max(D^2(u) [u < 1/m], min(1, 1/(m sin(pi max(u,
+    1/m)))^2)), is at least c: every u with D^2(u) >= c lies within it.
+
+    Where c is above the envelope at the first null, g is D^2 on the main
+    lobe, and the first _main_lobe point below c bounds the radius."""
+    if c <= 0.0:
+        return 0.5
+    if m == 1 or c * (m * math.sin(math.pi / m)) ** 2 <= 1.0:
+        return max(1.0 / m, math.asin(min(1.0, 1.0 / (m * math.sqrt(c))))
+                   / math.pi)
+    u, d2 = _main_lobe(m)
+    return float(u[np.argmax(d2 < c)])
+
+
+def _cells(x: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
+    """Each coordinate's cell on the circle of one kernel period, and the
+    cell count: cells at least ``radius`` periods wide, so two coordinates
+    within it of each other (modulo a period) lie in the same or adjacent
+    cells, the last adjacent to the first.  Wider cells keep that, so the
+    count stops at _MAX_CELLS, and fewer than three would make a cell its
+    own neighbour twice over: one cell then."""
+    slack = 1e-9 * radius + 8.0 * _EPS * (1.0 + float(np.abs(x).max()))
+    count = min(int(1.0 // (radius + slack)), _MAX_CELLS)
+    if count < 3:
+        return np.zeros(x.size, dtype=np.intp), 1
+    cell = ((x - np.floor(x)) * count).astype(np.intp)
+    return np.minimum(cell, count - 1, out=cell), count
+
+
+def _pruned_min_pair(pts: np.ndarray, array: ArrayConfig,
+                     scene: SceneConfig) -> tuple[float, int, int]:
+    """_min_pairwise_b's worst pair from the pairs that can reach it.
+
+    The field B = log1p(kappa (1 - eta)), eta = D_y^2 D_z^2 with both
+    factors in [0, 1], is at most b* only where eta >= c = 1 - expm1(b*) /
+    kappa, so where each axis factor is at least c.  b* is the least field
+    over pairs of near neighbours: the points adjacent in (z, y) order, z
+    cut into strips about one mean spacing wide, in coordinates scaled by
+    each axis's main-lobe curvature.  Each axis's majorant radius at c
+    (_majorant_radius) sizes cells on the coordinates folded to the kernel
+    period 2D, and only pairs in the same or adjacent cells, neighbours
+    across the fold included, are evaluated: every pair at or below b* is
+    one of them, so every pair at the minimum is.  c is lowered by 1e-12 of
+    itself, as D^2 and its envelope tie to 1 ulp at sidelobe peaks, and by
+    8 ulps of (1 + b*), more than the range of eta that rounds to one field
+    value near b*.
+
+    The candidates are evaluated in blocks of at most _PAIRS_PER_CALL, each
+    pair (i, k), i < k, on the difference point i - point k through
+    bhattacharyya_grid, whose kernels, product and _exponent are the full
+    scan's arithmetic; of the pairs at the minimum the smallest i * J + k,
+    the first in row-major order, is kept."""
+    n = len(pts)
+    t = pts / (2.0 * scene.distance_d)  # coordinates in kernel periods
+    w = t * np.sqrt([array.m_y ** 2 - 1.0, array.m_z ** 2 - 1.0])
+    span = np.ptp(w, axis=0)
+    width = math.sqrt(span[0] * span[1] / n) or span.max() / n or 1.0
+    order = np.lexsort((w[:, 0], np.floor(w[:, 1] / width)))
+    i, k = np.sort([order[:-1], order[1:]], axis=0)
+    b_star = float(bhattacharyya_grid(pts[i, 0] - pts[k, 0], pts[i, 1] - pts[k, 1],
+                                      array, scene).min())
+    kappa = _kappa(scene.snr_gamma0)
+    c = 1.0 - math.expm1(b_star) / kappa
+    c -= 1e-12 * abs(c) + 8.0 * _EPS * (1.0 + b_star)
+
+    cy, ny = _cells(t[:, 0], _majorant_radius(c, array.m_y))
+    cz, nz = _cells(t[:, 1], _majorant_radius(c, array.m_z))
+    key = cy * nz + cz
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cell_of = np.repeat(np.arange(first.size), np.diff(first, append=n))
+    # each point's candidates, as ranges of sorted positions: the rest of its
+    # own cell, then the cells at one half of the other neighbour offsets
+    # (each other neighbouring cell pair is reached from its other cell)
+    steps_y = (-1, 0, 1) if ny > 1 else (0,)
+    steps_z = (-1, 0, 1) if nz > 1 else (0,)
+    dy, dz = np.array([(y, z) for y in steps_y for z in steps_z
+                       if (y, z) >= (0, 0)]).T
+    cell_y, cell_z = np.divmod(key[first], nz)
+    nbr = (cell_y[:, None] + dy) % ny * nz + (cell_z[:, None] + dz) % nz
+    lo, hi = np.searchsorted(key, [nbr, nbr + 1])[:, cell_of]
+    lo[:, 0] = np.arange(1, n + 1)
+    size = (hi - lo).ravel()
+    keep = size > 0
+    owner = np.repeat(np.arange(n), dy.size)[keep]
+    lo, size = lo.ravel()[keep], size[keep]
+    ends = np.cumsum(size)
+    total = int(ends[-1]) if ends.size else 0
+
     best = (math.inf, -1, -1)
-    for start in range(0, n - 1, rows_per_call):
-        rows = pts[start:min(start + rows_per_call, n - 1)]
-        cols = pts[start + 1:]
-        b = _exponent(axis_kernel(rows[:, 0], cols[:, 0], array.m_y, scene)
-                      * axis_kernel(rows[:, 1], cols[:, 1], array.m_z, scene),
-                      _kappa(scene.snr_gamma0))
-        r = len(rows)
-        b[:, :r][np.tri(r, k=-1, dtype=bool)] = math.inf  # k <= i
-        i, k = divmod(int(b.argmin()), b.shape[1])
-        if b[i, k] < best[0]:
-            best = (float(b[i, k]), start + i, start + 1 + k)
+    for start in range(0, total, _PAIRS_PER_CALL):
+        stop = min(start + _PAIRS_PER_CALL, total)
+        r0 = int(np.searchsorted(ends, start, "right"))
+        r1 = int(np.searchsorted(ends, stop - 1, "right")) + 1
+        begin = ends[r0:r1] - size[r0:r1]  # each range's first flat position
+        count = np.minimum(ends[r0:r1], stop) - np.maximum(begin, start)
+        partner = np.arange(start, stop) + np.repeat(lo[r0:r1] - begin, count)
+        a, b = order[np.repeat(owner[r0:r1], count)], order[partner]
+        i, k = np.minimum(a, b), np.maximum(a, b)
+        field = bhattacharyya_grid(pts[i, 0] - pts[k, 0], pts[i, 1] - pts[k, 1],
+                                   array, scene)
+        low = field.min()
+        if low <= best[0]:
+            at = np.flatnonzero(field == low)
+            at = at[np.argmin(i[at] * n + k[at])]
+            best = min(best, (float(low), int(i[at]), int(k[at])))
     return best
 
 

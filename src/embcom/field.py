@@ -199,9 +199,11 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
     their minimum, bit for bit.  The march therefore keeps only the grid's
     correlation minima, 513 + n_rays values, and takes every scene's field
     on those alone.  One more pass, on the distinct radii where some (scene,
-    L) pair is first crossed, and one bisection over every (scene, L, ray)
-    triple, each at its scene's kappa, serve every scene: the field calls
-    do not grow with the number of scenes.
+    L) pair is first crossed, and a bisection of the (scene, L, ray)
+    triples, each at its scene's kappa, serve every scene: the field calls
+    do not grow with the number of scenes.  The triples bisect in blocks of
+    at most _VALUES_PER_CALL, each block to the end, so the bisection's
+    memory does not grow with the rays or the scenes either.
     """
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
@@ -252,26 +254,29 @@ def necessary_separations(eps: float, ls, array: ArrayConfig, scenes,
         at_k_min[:, rays] = (_exponent(eta[:, col], kappa[si, 0])
                              >= targets[li]).T
 
-    # bisect every (scene, L, ray) triple together, each until its bracket
+    # bisect the (scene, L, ray) triples in blocks of at most
+    # _VALUES_PER_CALL, each block to the end: each triple until its bracket
     # is within tol or its ends are adjacent floats
-    pair, ri = np.nonzero(at_k_min)
-    si, li = si[pair], li[pair]
-    k = k_min[si, li]
-    lo, hi = radii[k - 1], radii[k]
-    c, s, t, kap = cos_psi[ri], sin_psi[ri], targets[li], kappa[si, 0]
-    act = np.nonzero(hi - lo > tol)[0]
-    while act.size:
-        mid = 0.5 * (lo[act] + hi[act])
-        moves = (mid != lo[act]) & (mid != hi[act])
-        act, mid = act[moves], mid[moves]
-        up = bhattacharyya_grid(mid * c[act], mid * s[act], array, scenes[0],
-                                kap[act]) >= t[act]
-        hi[act] = np.where(up, mid, hi[act])
-        lo[act] = np.where(up, lo[act], mid)
-        act = act[hi[act] - lo[act] > tol]
-
     best = np.full((len(scenes), len(targets)), np.inf)
-    np.minimum.at(best, (si, li), hi)
+    triples = np.flatnonzero(at_k_min)
+    for start in range(0, triples.size, _VALUES_PER_CALL):
+        pair, ri = np.divmod(triples[start:start + _VALUES_PER_CALL], n_rays)
+        s_at, l_at = si[pair], li[pair]
+        k = k_min[s_at, l_at]
+        lo, hi = radii[k - 1], radii[k]
+        c, s, t, kap = cos_psi[ri], sin_psi[ri], targets[l_at], kappa[s_at, 0]
+        act = np.nonzero(hi - lo > tol)[0]
+        while act.size:
+            mid = 0.5 * (lo[act] + hi[act])
+            moves = (mid != lo[act]) & (mid != hi[act])
+            act, mid = act[moves], mid[moves]
+            up = bhattacharyya_grid(mid * c[act], mid * s[act], array,
+                                    scenes[0], kap[act]) >= t[act]
+            hi[act] = np.where(up, mid, hi[act])
+            lo[act] = np.where(up, lo[act], mid)
+            act = act[hi[act] - lo[act] > tol]
+        np.minimum.at(best, (s_at, l_at), hi)
+
     for j, i in zip(*np.nonzero(unbounded)):  # scene by scene, then L
         _warn(f"{unbounded[j, i]}/{n_rays} rays never reach the necessary "
               f"threshold within the plane diameter at "

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embcom import bounds, config, field, sweep
+from embcom import bounds, codebook, config, field, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import optimal_snapshots, stationary_snapshots
 from embcom.cli import _header_lines, cmd_field, main
@@ -740,6 +740,33 @@ def test_exhaustive_lstar_range_limit(monkeypatch):
 def test_lstar_accepts_epsilon_above_half(tmp_path):
     assert run(tmp_path, "--set", "design.epsilon=0.6",
                "--set", "sweep.snr_db_list=20", "lstar") == 0
+
+
+def test_lstar_at_100_db_finishes(tmp_path, monkeypatch):
+    # the L* window at 100 dB verifies a J = 200,873 design, whose full
+    # worst-pair scan has 2.0e10 pairs; the pruned scan evaluates under ten
+    # per point.  Counts the pairs, not the time
+    scans, running = [], []  # (J, pairs evaluated) per scan; the open scan's count
+    scan, field_of = codebook._min_pairwise_b, codebook.bhattacharyya_grid
+
+    def counted_scan(pts, *args):
+        running.append(0)
+        try:
+            return scan(pts, *args)
+        finally:
+            scans.append((len(pts), running.pop()))
+
+    def counted_field(dy, *args):
+        if running:  # design inversions outside a scan are not counted
+            running[-1] += np.size(dy)
+        return field_of(dy, *args)
+
+    monkeypatch.setattr(codebook, "_min_pairwise_b", counted_scan)
+    monkeypatch.setattr(codebook, "bhattacharyya_grid", counted_field)
+    assert run(tmp_path, "--set", "sweep.snr_db_list=100", "lstar") == 0
+    assert max(j for j, _ in scans) > 200_000
+    for j, pairs in scans:
+        assert pairs <= 10 * j
 
 
 def test_lattice_beyond_the_cap_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from embcom import codebook, field
+from embcom import arrays, codebook, field
 from embcom.arrays import ArrayConfig, SceneConfig, db_to_linear
 from embcom.codebook import (codebook_from_csv, codebook_to_csv,
                              greedy_packing_baseline, hexagonal_design,
@@ -168,9 +168,32 @@ def _in_plane(j):
     return np.random.default_rng(j).uniform(-1.0, 1.0, size=(j, 2))
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 3, 50, 600])
+def _pair_b(pts, i, k, array, scene):
+    """The field of each pair (i[j], k[j]) on point i - point k."""
+    return bhattacharyya_grid(pts[i, 0] - pts[k, 0], pts[i, 1] - pts[k, 1],
+                              array, scene)
+
+
+@pytest.fixture
+def pruned_blocks(monkeypatch, call_log):
+    """``blocks = pruned_blocks(from_j)`` makes the scan prune from from_j
+    points on and logs each field call of the pruned scan: its first call
+    takes b* over J - 1 pairs, the others are the candidate blocks."""
+    def install(from_j=codebook._PRUNED_SCAN_FROM_J):
+        monkeypatch.setattr(codebook, "_PRUNED_SCAN_FROM_J", from_j)
+        return call_log(codebook, "bhattacharyya_grid")
+
+    return install
+
+
+def _evaluated(blocks):
+    """The pairs the logged pruned scans evaluated, b* pairs included."""
+    return sum(np.size(args[0]) for args in blocks)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 50, 127, 128, 600])
 def test_scan_matches_bruteforce(ref_array, ref_scene, j):
-    # 50 points fit one field call; 600 take six, the last one partial
+    # below 128 points the scan evaluates every pair; from there it prunes
     pts = _in_plane(j)
     assert codebook._min_pairwise_b(pts, ref_array, ref_scene) == \
         _first_min_pair(pts, ref_array, ref_scene)
@@ -183,35 +206,57 @@ def test_scan_matches_bruteforce_beyond_2048(small_array, ref_scene):
 
 
 @pytest.mark.parametrize("pairs_per_call", [1, 100, 1000])
-def test_scan_keeps_first_of_tied_pairs(monkeypatch, ref_array, ref_scene,
-                                        pairs_per_call):
-    monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
+def test_scan_keeps_first_of_tied_pairs(monkeypatch, pruned_blocks, ref_array,
+                                        ref_scene, pairs_per_call):
+    # 81 points take the full scan, in one block
     pts = _in_reference_plane(0.25 * np.eye(2))
+    assert codebook._min_pairwise_b(pts, ref_array, ref_scene) == \
+        _first_min_pair(pts, ref_array, ref_scene)
+    # 1089 points take the pruned scan: the minimum is tied across the 1056
+    # pairs along z, in more than one candidate block
+    monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
+    blocks = pruned_blocks()
+    pts = _in_reference_plane(np.eye(2) / 16)
     got = codebook._min_pairwise_b(pts, ref_array, ref_scene)
     assert got == _first_min_pair(pts, ref_array, ref_scene)
-    # the minimum is tied across many pairs, in more than one block
-    iu, ku = np.triu_indices(len(pts), k=1)
-    tied = iu[bhattacharyya_grid(pts[iu, 0] - pts[ku, 0], pts[iu, 1] - pts[ku, 1],
-                                 ref_array, ref_scene) == got[0]]
-    rows_per_call = max(1, pairs_per_call // len(pts))
-    assert len(set(tied // rows_per_call)) > 1
+    tied = [np.count_nonzero(bhattacharyya_grid(*args) == got[0])
+            for args in blocks[1:]]
+    assert sum(tied) == 1056 and np.count_nonzero(tied) > 1
 
 
 @pytest.mark.parametrize("j, pairs_per_call", [
     (2, 1 << 16), (256, 1 << 16), (257, 1 << 16), (363, 1 << 16),
     (2100, 1 << 16), (81, 16)])
-def test_scan_bounds_every_table_and_block(monkeypatch, call_log, small_array,
-                                           ref_scene, j, pairs_per_call):
-    # one kernel table per axis and one field block per block of rows, none
-    # larger than a block's rows x the columns after its first row
+def test_scan_bounds_every_table_and_block(monkeypatch, call_log, pruned_blocks,
+                                           small_array, ref_scene, j,
+                                           pairs_per_call):
+    # below _PRUNED_SCAN_FROM_J, one kernel table per axis and one field
+    # block of the rows x the columns after the first row.  From there, b*
+    # over J - 1 adjacent pairs, then the candidates in blocks of
+    # _PAIRS_PER_CALL pairs, all full but the last, with two kernel arrays
+    # per block.  No table or block holds more than max(_PAIRS_PER_CALL,
+    # J - 1) values.  A 16-pair block cannot hold the full scan's 80 x 80
+    # block, so that case prunes from 2 points on
+    assert (codebook._PRUNED_SCAN_FROM_J - 2) ** 2 <= codebook._PAIRS_PER_CALL
     monkeypatch.setattr(codebook, "_PAIRS_PER_CALL", pairs_per_call)
-    tables = call_log(field, "_dirichlet_sq")
-    blocks = call_log(codebook, "_exponent")
-    codebook._min_pairwise_b(_in_plane(j), small_array, ref_scene)
-    rows_per_call = max(1, pairs_per_call // j)
-    assert len(blocks) == math.ceil((j - 1) / rows_per_call)
+    pts = _in_plane(j)
+    expect = _first_min_pair(pts, small_array, ref_scene)
+    if j < codebook._PRUNED_SCAN_FROM_J and (j - 1) ** 2 <= pairs_per_call:
+        tables = call_log(field, "_dirichlet_sq")
+        blocks = call_log(codebook, "_exponent")
+        assert codebook._min_pairwise_b(pts, small_array, ref_scene) == expect
+        assert len(blocks) == 1
+        sizes = [np.size(args[0]) for args in blocks]
+    else:
+        blocks = pruned_blocks(min(j, codebook._PRUNED_SCAN_FROM_J))
+        tables = call_log(arrays, "_dirichlet_sq")
+        assert codebook._min_pairwise_b(pts, small_array, ref_scene) == expect
+        sizes = [np.size(args[0]) for args in blocks]
+        assert sizes[0] == j - 1
+        assert sizes[1:-1] == [pairs_per_call] * (len(sizes) - 2)
+        assert 0 < sizes[-1] <= pairs_per_call
     assert len(tables) == 2 * len(blocks)
-    assert max(np.size(args[0]) for args in tables + blocks) <= \
+    assert max(sizes + [np.size(args[0]) for args in tables]) <= \
         max(pairs_per_call, j - 1)
 
 
@@ -229,6 +274,133 @@ def test_scan_matches_bruteforce_on_hex_lattice(ref_array, ref_scene, rotation,
         _first_min_pair(pts, ref_array, sc)
 
 
+@pytest.mark.parametrize("db, l, rotation", [
+    (30.0, 20, 0.0), (30.0, 20, 0.3), (40.0, 5, 0.0), (40.0, 5, 0.7)])
+def test_pruned_scan_matches_bruteforce_across_y_lobes(pruned_blocks,
+                                                       ref_array, db, l,
+                                                       rotation):
+    # at D = 20 m the 2 m plane spans three y-lobes of the 64-element axis
+    sc = SceneConfig(20.0, 2.0, 2.0, db_to_linear(db), 1.0, l, 1.0)
+    cb, rep = hexagonal_design(1e-3, sc, ref_array, rotation)
+    assert rep.j > 1000
+    blocks = pruned_blocks()
+    assert codebook._min_pairwise_b(cb.points, ref_array, sc) == \
+        _first_min_pair(cb.points, ref_array, sc)
+    assert _evaluated(blocks) < 10 * rep.j
+
+
+@pytest.mark.parametrize("m_y, m_z", [(64, 16), (8, 4), (64, 1), (1, 16), (2, 16)])
+@pytest.mark.parametrize("distance, db", [(100.0, 0.0), (100.0, 40.0),
+                                          (20.0, 20.0), (20.0, 40.0)])
+def test_pruned_scan_matches_bruteforce_on_random_sets(m_y, m_z, distance, db):
+    array = ArrayConfig(m_y, m_z)
+    sc = SceneConfig(distance, 2.0, 2.0, db_to_linear(db), 1.0, 5, 1.0)
+    pts = np.random.default_rng(m_y * m_z + int(db)).uniform(-1.0, 1.0, (400, 2))
+    assert codebook._min_pairwise_b(pts, array, sc) == \
+        _first_min_pair(pts, array, sc)
+
+
+def _recording_cells(monkeypatch):
+    """Replace codebook._cells with a wrapper that keeps each result."""
+    seen = []
+    cells = codebook._cells
+
+    def recording(*args):
+        seen.append(cells(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(codebook, "_cells", recording)
+    return seen
+
+
+@pytest.mark.parametrize("m_y, m_z", [(64, 16), (8, 4), (2, 16)])
+def test_pruned_scan_keeps_first_of_ties_across_cell_edges(monkeypatch,
+                                                            ref_scene, m_y, m_z):
+    # a square grid whose spacing is about one cell: nearly every tied
+    # nearest pair straddles a cell edge, and its first one must win
+    array = ArrayConfig(m_y, m_z)
+    sc = ref_scene.with_snr(db_to_linear(30.0))
+    axis = np.arange(-15, 16) * (1.0 / 16)
+    pts = np.array([(y, z) for z in axis for y in axis])[::-1].copy()
+    seen = _recording_cells(monkeypatch)
+    got = codebook._min_pairwise_b(pts, array, sc)
+    assert got == _first_min_pair(pts, array, sc)
+    iu, ku = np.triu_indices(len(pts), k=1)
+    tied = _pair_b(pts, iu, ku, array, sc) == got[0]
+    (cy, _), (cz, _) = seen
+    across = (cy[iu] != cy[ku]) | (cz[iu] != cz[ku])
+    assert np.count_nonzero(tied & across) > 1
+
+
+@pytest.mark.parametrize("aliased_extent_axis", [0, 1])
+def test_pruned_scan_matches_bruteforce_on_an_aliased_plane(monkeypatch,
+                                                            ref_array,
+                                                            aliased_extent_axis):
+    # one plane extent equals the kernel period 2D: positions a period apart
+    # alias (B = 0), and cells fold onto the period with wrap-around
+    # neighbours
+    d = 1e-9
+    extents = [d, d]
+    extents[aliased_extent_axis] = 2 * d
+    sc = SceneConfig(d, *extents, db_to_linear(20.0), 1.0, 5, 1.0,
+                     far_field_ratio=1.0)
+    rng = np.random.default_rng(3 + aliased_extent_axis)
+    half = np.array(extents) / 2
+    pts = rng.uniform(-1.0, 1.0, (300, 2)) * half
+    edge = pts[:40].copy()
+    edge[:, aliased_extent_axis] = -half[aliased_extent_axis]
+    alias = edge.copy()
+    alias[:, aliased_extent_axis] = half[aliased_extent_axis]
+    pts = np.concatenate([pts, alias, edge])  # the aliased pairs come last
+    seen = _recording_cells(monkeypatch)
+    got = codebook._min_pairwise_b(pts, ref_array, sc)
+    assert got == _first_min_pair(pts, ref_array, sc)
+    assert got[0] == 0.0
+    # the scan still pruned: cells along both axes
+    assert all(count >= 3 for _, count in seen)
+    # and without the planted aliases it finds the nearest pair, too
+    pts = pts[:300]
+    assert codebook._min_pairwise_b(pts, ref_array, sc) == \
+        _first_min_pair(pts, ref_array, sc)
+
+
+@pytest.mark.parametrize("db", [0.0, 20.0, 40.0])
+def test_pruned_scan_margin_covers_sidelobe_peaks(monkeypatch, pruned_blocks,
+                                                  ref_array, db):
+    # y differences at odd multiples of 1.5 null widths 2D/M, where
+    # |sin(pi M u)| = 1 and D^2 meets its envelope to the ulp, and at even
+    # ones, the nulls: the worst pairs sit on the first sidelobe, so the
+    # radius comes from the envelope and falls on those pairs
+    sc = SceneConfig(5.0, 2.0, 2.0, db_to_linear(db), 1.0, 5, 1.0,
+                     far_field_ratio=0.5)
+    width = 2 * sc.distance_d / ref_array.m_y
+    y = -1.0 + np.arange(9) * 1.5 * width
+    pts = np.column_stack([y, np.zeros_like(y)])
+    radii = []
+    radius = codebook._majorant_radius
+    monkeypatch.setattr(codebook, "_majorant_radius",
+                        lambda c, m: radii.append(radius(c, m)) or radii[-1])
+    pruned_blocks(2)
+    assert codebook._min_pairwise_b(pts, ref_array, sc) == \
+        _first_min_pair(pts, ref_array, sc)
+    assert 1.5 / ref_array.m_y <= radii[0] < 1.6 / ref_array.m_y
+
+
+def test_pruned_scan_at_43013_points_evaluates_few_pairs(pruned_blocks,
+                                                         ref_array):
+    # the D = 20 m, 40 dB, L = 40 design: 925 M pairs, of which the pruned
+    # scan evaluates 43,012 for b* and 233,717 candidates; a scan of every
+    # pair (40 s) finds the same pair, (0, 56)
+    sc = SceneConfig(20.0, 2.0, 2.0, db_to_linear(40.0), 1.0, 40, 1.0)
+    cb, rep = hexagonal_design(1e-3, sc, ref_array)
+    assert rep.j == 43013
+    blocks = pruned_blocks()
+    b, i, k = codebook._min_pairwise_b(cb.points, ref_array, sc)
+    assert _evaluated(blocks) < 7 * rep.j
+    assert (b, i, k) == (rep.b_min, 0, 56)
+    assert b == _pair_b(cb.points, np.array([i]), np.array([k]), ref_array, sc)[0]
+
+
 def test_scan_matches_bruteforce_after_csv_roundtrip(tmp_path, ref_array,
                                                      ref_scene):
     sc = ref_scene.with_snr(db_to_linear(40.0)).with_snapshots(20)
@@ -241,15 +413,19 @@ def test_scan_matches_bruteforce_after_csv_roundtrip(tmp_path, ref_array,
         codebook._min_pairwise_b(cb.points, ref_array, sc)
 
 
-def test_scan_evaluates_few_kernel_elements_on_a_lattice(call_log, ref_array,
-                                                         ref_scene):
-    # the emitted 40 dB, L = 40 design has 365 distinct y and 25 distinct z
+def test_scan_evaluates_few_kernel_elements_on_a_lattice(call_log,
+                                                         pruned_blocks,
+                                                         ref_array, ref_scene):
+    # the emitted 40 dB, L = 40 design has 2163 points and 2.34 M pairs
     sc = ref_scene.with_snr(db_to_linear(40.0)).with_snapshots(40)
     cb, rep = hexagonal_design(1e-3, sc, ref_array)
     assert rep.j == 2163
-    tables = call_log(field, "_dirichlet_sq")
+    blocks = pruned_blocks()
+    tables = [call_log(field, "_dirichlet_sq"), call_log(arrays, "_dirichlet_sq")]
     codebook._min_pairwise_b(cb.points, ref_array, sc)
-    assert sum(np.size(args[0]) for args in tables) < 2163 * 2162 / 2 / 4
+    kernel_points = sum(np.size(args[0]) for calls in tables for args in calls)
+    assert 0 < kernel_points < 2163 * 2162 / 2 / 4
+    assert _evaluated(blocks) < 7 * rep.j
 
 
 # --- Lambert-W ------------------------------------------------------------------

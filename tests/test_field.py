@@ -506,12 +506,18 @@ def test_exponent_is_nonincreasing_in_eta(snr_db):
         assert (np.diff(field._exponent(eta, kappa)) <= 0.0).all()
 
 
-@pytest.mark.parametrize("n_rays, bound_mib", [(720, 4), (8192, 16)])
+@pytest.mark.parametrize("n_rays, bound_mib, snrs_db", [
+    (720, 4, (0.0, 5.0, 10.0, 15.0, 20.0)),
+    (8192, 16, (0.0, 5.0, 10.0, 15.0, 20.0)),
+    (8192, 16, tuple(np.arange(41) * 0.5))],
+    ids=["720-4", "8192-16", "8192-16-41snrs"])
 def test_ray_search_memory_does_not_grow_with_rays(traced_peak, ref_array,
-                                                    ref_scene, n_rays, bound_mib):
-    # the whole coarse grid and its temporaries traced 17.3 and 197 MiB here
-    scenes = [ref_scene.with_snr(10.0 ** (db / 10.0))
-              for db in (0.0, 5.0, 10.0, 15.0, 20.0)]
+                                                    ref_scene, n_rays, bound_mib,
+                                                    snrs_db):
+    # the whole coarse grid and its temporaries traced 17.3 and 197 MiB here;
+    # bisecting every (SNR, L, ray) triple of 41 SNRs in one batch traced
+    # 42 MiB, and blocks of at most 2^15 triples 10.9 MiB
+    scenes = [ref_scene.with_snr(10.0 ** (db / 10.0)) for db in snrs_db]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         peak = traced_peak(necessary_separations, 1e-3, DEFAULT_L_LIST,
