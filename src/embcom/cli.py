@@ -13,17 +13,18 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import (_CSV_FLOAT, _LatticeCapError, _min_pairwise_b,
-                       _write_csv, codebook_from_csv, codebook_to_csv,
+from .arrays import ArrayConfig, SceneConfig
+from .codebook import (Codebook, _LatticeCapError, _min_pairwise_b,
                        greedy_packing_baseline, hexagonal_design, make_codebook,
                        verify_codebook)
 from .config import RunConfig, load_config, resolved_items
-from .field import (_row_blocks, bhattacharyya_grid,
+from .field import (_distinct, _row_blocks, bhattacharyya_grid,
                     bhattacharyya_quadratic_grid, quadratic_params)
 from .simulate import estimate_errors
 from .sweep import (BoundPoint, LstarPoint, RatePoint, bound_sweep, lstar_sweep,
@@ -35,6 +36,93 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 
+# --- artifact files ------------------------------------------------------------
+
+_CSV_CHUNK_ROWS = 1024  # rows formatted by one % call
+_CSV_FLOAT = "%.17g"  # any value but an integer: 17 significant digits
+
+
+def _create(path):
+    """A new file at ``path`` for text with '\\n' line ends.  A file there is
+    removed, not truncated: on ext4 with ``discard``, rewriting one in place,
+    or renaming a temporary file over it, stalled 40-100 ms per rewrite."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline="\n")
+
+
+def _value_format(t: type) -> str:
+    # text is written as it is; integers (bools as 0/1) print every digit,
+    # where _CSV_FLOAT would round one above 2^53
+    if issubclass(t, str):
+        return "%s"
+    return "%d" if issubclass(t, (int, np.integer)) else _CSV_FLOAT
+
+
+def _float_text(values) -> list[str]:
+    """Each of ``values`` as _write_csv writes a float, by one % call."""
+    return (f"{_CSV_FLOAT}\n" * len(values) % tuple(values)).splitlines()
+
+
+def _write_csv(path, header_lines, columns, rows) -> None:
+    """CSV file: '# ' header lines, the column names, then one line per row
+    of one value per column.
+
+    Text is written as it is, integers print every digit and any other value
+    prints as a float with 17 significant digits.  Rows are formatted a chunk
+    at a time, by one % over the chunk's values with each row's format picked
+    by its value types, so memory does not grow with the number of rows."""
+    row_formats = {}  # value types of a row -> its line format
+    with _create(path) as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+            # each row's value types, transposed twice: no Python code per row
+            types = list(zip(*[map(type, col) for col in zip(*chunk)]))
+            for key in set(types).difference(row_formats):
+                row_formats[key] = ",".join(map(_value_format, key)) + "\n"
+            fh.write("".join(map(row_formats.__getitem__, types))
+                     % tuple(chain.from_iterable(chunk)))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with _create(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def codebook_to_csv(cb: Codebook, path, header_lines: tuple[str, ...] = ()) -> None:
+    """Rows index,y_m,z_m.  Each coordinate distinct by bit pattern (-0.0 is
+    not 0.0) is formatted once, as _write_csv formats a float: a lattice
+    repeats each of its few distinct values along its rows and columns."""
+    values, inverse = _distinct(cb.points.reshape(-1).view(np.int64))  # y, z, ...
+    text = _float_text(values.view(np.float64).tolist())
+    coords = map(text.__getitem__, inverse.tolist())
+    _write_csv(path, header_lines, ("index", "y_m", "z_m"),
+               zip(range(len(cb)), coords, coords))
+
+
+def codebook_from_csv(path, array: ArrayConfig, scene: SceneConfig) -> Codebook:
+    pts = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("index"):
+                continue
+            try:
+                index, y, z = line.split(",")
+                pts.append((float(y), float(z)))
+            except ValueError:
+                raise ValueError(f"{path} line {number}: expected a row "
+                                 f"index,y_m,z_m, got {line!r}") from None
+            if index.strip() != str(len(pts) - 1):  # rows are numbered 0, 1, ...
+                raise ValueError(f"{path} line {number}: expected index "
+                                 f"{len(pts) - 1}, got {line!r}")
+    if not pts:
+        raise ValueError(f"no codewords found in {path}")
+    return make_codebook(pts, array, scene)
+
+
 def _header_lines(cfg: RunConfig) -> list[str]:
     return [f"{k} = {v}" for k, v in resolved_items(cfg)]
 
@@ -44,15 +132,6 @@ def _write_table(path: Path, cfg: RunConfig, row_type, rows) -> None:
     Each row's values are read as they are (astuple would deep-copy them)."""
     names = [f.name for f in fields(row_type)]
     _write_csv(path, _header_lines(cfg), names, map(attrgetter(*names), rows))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    return {k: v for k, v in resolved_items(cfg)}
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -84,7 +163,7 @@ def _field_rows(dy, dz, array, scene, params):
     row-major order, evaluated a block of dy rows at a time so memory does
     not grow with the grid."""
     # the grid repeats each axis coordinate: format each one once
-    ty, tz = ([_CSV_FLOAT % v for v in axis.tolist()] for axis in (dy, dz))
+    ty, tz = (_float_text(axis.tolist()) for axis in (dy, dz))
     for rows in _row_blocks(dy.size, dz.size):
         gy, gz = np.meshgrid(dy[rows], dz, indexing="ij")
         b_exact = bhattacharyya_grid(gy, gz, array, scene)
@@ -131,7 +210,7 @@ def cmd_codebook(cfg: RunConfig, out: Path, verify_path: str | None = None) -> i
         aniso = bool(gap_y < gap_z) if finer_y else bool(gap_z < gap_y)
     manifest = {
         "mode": "design" if verify_path is None else "verify",
-        "config": _config_dict(cfg),
+        "config": dict(resolved_items(cfg)),
         "j": rep.j,
         "b_min_nats": None if not math.isfinite(rep.b_min) else rep.b_min,
         "b_threshold_nats": rep.b_threshold,
@@ -228,7 +307,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, codebook_path: str | None = None,
         report = replace(report, union_bound_prediction=-1.0,
                          wilson_halfwidth_95=0.0)
     payload = {
-        "config": _config_dict(cfg),
+        "config": dict(resolved_items(cfg)),
         "seed": report.seed,
         "j": len(cb),
         "trials_per_codeword": report.trials,

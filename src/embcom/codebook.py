@@ -7,19 +7,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, islice
 
 import numpy as np
 
 from .arrays import ArrayConfig, SceneConfig, _EPS, _dirichlet_sq
-from .field import (_check_shared_geometry, _distinct, _exponent, _kappa,
+from .field import (_check_shared_geometry, _exponent, _kappa,
                     axis_kernel, b_codebook, bhattacharyya_grid, quadratic_params)
 
 __all__ = [
     "Codebook", "DesignReport", "make_codebook", "verify_codebook",
     "hexagonal_design", "hexagonal_designs", "lambert_w0",
     "greedy_packing_baseline", "xi_h_factor", "hexagonal_size",
-    "codebook_to_csv", "codebook_from_csv",
 ]
 
 
@@ -639,84 +637,3 @@ def greedy_packing_baseline(eps: float, scene: SceneConfig, array: ArrayConfig,
 
     iy, iz = np.divmod(acc, nz)
     return make_codebook(np.array((ys[iy], zs[iz])).T, array, scene)
-
-
-# --- CSV export / import ------------------------------------------------------
-
-_CSV_CHUNK_ROWS = 1024  # rows formatted by one % call
-_CSV_FLOAT = "%.17g"  # any value but an integer: 17 significant digits
-_CSV_TEXT_FROM_J = 64  # codebook rows from which distinct coordinates may pass as text
-
-
-def _value_format(t: type) -> str:
-    # text is written as it is; integers (bools as 0/1) print every digit,
-    # where _CSV_FLOAT would round one above 2^53
-    if issubclass(t, str):
-        return "%s"
-    return "%d" if issubclass(t, (int, np.integer)) else _CSV_FLOAT
-
-
-def _write_csv(path, header_lines, columns, rows) -> None:
-    """CSV file: '# ' header lines, the column names, then one line per row
-    of one value per column.
-
-    Text is written as it is, integers print every digit and any other value
-    prints as a float with 17 significant digits.  Rows are formatted a chunk
-    at a time, by one % over the chunk's values with each row's format picked
-    by its value types, so memory does not grow with the number of rows."""
-    row_formats = {}  # value types of a row -> its line format
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        rows = iter(rows)
-        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
-            # each row's value types, transposed twice: no Python code per row
-            types = list(zip(*[map(type, col) for col in zip(*chunk)]))
-            for key in set(types).difference(row_formats):
-                row_formats[key] = ",".join(map(_value_format, key)) + "\n"
-            fh.write("".join(map(row_formats.__getitem__, types))
-                     % tuple(chain.from_iterable(chunk)))
-
-
-def codebook_to_csv(cb: Codebook, path, header_lines: tuple[str, ...] = ()) -> None:
-    """Rows index,y_m,z_m.  From _CSV_TEXT_FROM_J rows, when at most half of
-    the coordinates are distinct by bit pattern (-0.0 is not 0.0), as in a
-    lattice, each distinct value is formatted once, as _write_csv formats a
-    float; otherwise the floats pass as they come.  Both cutoffs are
-    measured: text loses below about 40 rows, where finding the distinct
-    values costs more than the repeats save, and once about four in five
-    values are distinct, as in a rotated lattice."""
-    flat = cb.points.reshape(-1)  # y, z, y, z, ...
-    coords = None
-    if len(cb) >= _CSV_TEXT_FROM_J:
-        values, inverse = _distinct(flat.view(np.int64))
-        if 2 * len(values) <= len(inverse):
-            text = ("\n".join([_CSV_FLOAT] * len(values))
-                    % tuple(values.view(np.float64).tolist())).split("\n")
-            coords = map(text.__getitem__, inverse.tolist())
-    if coords is None:
-        coords = iter(flat.tolist())
-    _write_csv(path, header_lines, ("index", "y_m", "z_m"),
-               zip(range(len(cb)), coords, coords))
-
-
-def codebook_from_csv(path, array: ArrayConfig, scene: SceneConfig) -> Codebook:
-    pts = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("index"):
-                continue
-            try:
-                index, y, z = line.split(",")
-                pts.append((float(y), float(z)))
-            except ValueError:
-                raise ValueError(f"{path} line {number}: expected a row "
-                                 f"index,y_m,z_m, got {line!r}") from None
-            if index.strip() != str(len(pts) - 1):  # rows are numbered 0, 1, ...
-                raise ValueError(f"{path} line {number}: expected index "
-                                 f"{len(pts) - 1}, got {line!r}")
-    if not pts:
-        raise ValueError(f"no codewords found in {path}")
-    return make_codebook(pts, array, scene)

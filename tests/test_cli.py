@@ -10,8 +10,8 @@ import pytest
 from embcom import bounds, codebook, config, field, sweep
 from embcom.arrays import db_to_linear
 from embcom.bounds import optimal_snapshots, stationary_snapshots
-from embcom.cli import _header_lines, cmd_field, main
-from embcom.codebook import _min_pairwise_b, _write_csv, hexagonal_design
+from embcom.cli import _header_lines, _write_csv, cmd_field, main
+from embcom.codebook import _min_pairwise_b, hexagonal_design
 from embcom.config import _RULES, _SCHEMA, load_config
 from embcom.field import bhattacharyya_grid
 
@@ -276,6 +276,55 @@ def test_field_rerun_byte_identical(tmp_path):
     first = (tmp_path / "field_grid.csv").read_bytes()
     assert run(tmp_path, *args) == 0
     assert (tmp_path / "field_grid.csv").read_bytes() == first
+
+
+def run_every_command(out, *sets):
+    small = ["--set", "field.grid_points=9", "--set", "field.profile_points=12",
+             "--set", "sweep.snr_db_list=20,30", "--set", "sweep.l_list=5,20",
+             "--set", "solver.dnec_rays=90", "--set", "solver.support_grid_n=11",
+             *SMALL_SIM, *sets]
+    for command in ("field", "codebook", "sweep", "bounds", "lstar", "simulate"):
+        assert main(["--out", str(out), *small, command]) == 0, command
+
+
+def test_rerun_creates_each_artifact_new(tmp_path):
+    # a rerun replaces each artifact by a new file rather than rewriting the
+    # old one in place, so another name linked to the old file keeps its bytes
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    run_every_command(out)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["bounds.csv", "codebook.csv", "design_manifest.json",
+                     "field_grid.csv", "field_profile.csv", "lstar.csv",
+                     "rate_sweep.csv", "sim_pairwise.csv", "sim_report.json"]
+    kept.mkdir()
+    first = {}
+    for name in names:
+        (kept / name).hardlink_to(out / name)
+        first[name] = (out / name).read_bytes()
+    run_every_command(out, "--set", "design.greedy_grid_step_m=0.2")
+    for name in names:
+        assert (kept / name).read_bytes() == first[name], name
+        assert (out / name).read_bytes() != first[name], name
+
+
+@pytest.mark.parametrize("command, name", [("field", "field_grid.csv"),
+                                           ("codebook", "design_manifest.json")])
+def test_directory_at_an_artifact_path_is_an_io_error(tmp_path, capsys, command,
+                                                      name):
+    (tmp_path / name).mkdir()
+    (tmp_path / name / "inside.txt").write_text("keep")
+    assert run(tmp_path, "--set", "field.grid_points=2",
+               "--set", "field.profile_points=2", command) == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert [p.name for p in (tmp_path / name).iterdir()] == ["inside.txt"]
+    assert (tmp_path / name / "inside.txt").read_text() == "keep"
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("keep")
+    assert main(["--out", str(tmp_path / "file"), "lstar"]) == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert (tmp_path / "file").read_text() == "keep"
 
 
 def test_field_memory_does_not_grow_with_the_grid(tmp_path, traced_peak):

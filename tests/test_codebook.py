@@ -7,8 +7,8 @@ import pytest
 
 from embcom import arrays, codebook, field
 from embcom.arrays import ArrayConfig, SceneConfig, db_to_linear
-from embcom.codebook import (codebook_from_csv, codebook_to_csv,
-                             greedy_packing_baseline, hexagonal_design,
+from embcom.cli import codebook_from_csv, codebook_to_csv
+from embcom.codebook import (greedy_packing_baseline, hexagonal_design,
                              hexagonal_size, lambert_w0, make_codebook,
                              verify_codebook, xi_h_factor)
 from embcom.config import load_config

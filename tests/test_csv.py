@@ -41,12 +41,12 @@ MIXED = [True, False, 7, -3, np.int64(-42), np.uint64(2**64 - 1), 10**17,
 
 
 def test_writer_matches_the_reference_on_mixed_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(codebook, "_CSV_CHUNK_ROWS", 3)  # cross chunk edges
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3)  # cross chunk edges
     # each row is a rotation, so every column mixes every type
     rows = [tuple(MIXED[i:] + MIXED[:i]) for i in range(len(MIXED))]
     path = tmp_path / "mixed.csv"
-    codebook._write_csv(path, ["a = 1", "b = x"],
-                        [f"c{i}" for i in range(len(MIXED))], iter(rows))
+    cli._write_csv(path, ["a = 1", "b = x"],
+                   [f"c{i}" for i in range(len(MIXED))], iter(rows))
     text = path.read_text()
     assert text.startswith("# a = 1\n# b = x\nc0,c1,")
     assert data_lines(path) == reference_lines(rows)
@@ -55,14 +55,14 @@ def test_writer_matches_the_reference_on_mixed_rows(tmp_path, monkeypatch):
 
 def test_writer_with_no_rows_writes_the_header(tmp_path):
     path = tmp_path / "empty.csv"
-    codebook._write_csv(path, [], ["x", "y"], [])
+    cli._write_csv(path, [], ["x", "y"], [])
     assert path.read_text() == "x,y\n"
 
 
 def test_writer_writes_text_as_it_is(tmp_path):
     path = tmp_path / "text.csv"
-    codebook._write_csv(path, [], ["x", "y"], [("0.10000000000000001", 0.1),
-                                              (1, "-0")])
+    cli._write_csv(path, [], ["x", "y"], [("0.10000000000000001", 0.1),
+                                         (1, "-0")])
     assert path.read_text() == "x,y\n0.10000000000000001,0.10000000000000001\n1,-0\n"
 
 
@@ -70,14 +70,13 @@ def test_writer_writes_text_as_it_is(tmp_path):
 def written(monkeypatch):
     """File name -> the rows the program passed to the CSV writer."""
     tables = {}
-    write = codebook._write_csv
+    write = cli._write_csv
 
     def spy(path, header_lines, columns, rows):
         rows = list(rows)
         tables[Path(path).name] = rows
         write(path, header_lines, columns, rows)
 
-    monkeypatch.setattr(codebook, "_write_csv", spy)
     monkeypatch.setattr(cli, "_write_csv", spy)
     return tables
 
@@ -160,9 +159,9 @@ def test_codebook_csv_round_trip_keeps_every_bit(tmp_path, ref_array, ref_scene)
     pts = np.array([[0.1, -1 / 3], [-0.9999999999999999, 5e-324], [0.0, -0.0]])
     cb = codebook.make_codebook(pts, ref_array, ref_scene)
     path = tmp_path / "cb.csv"
-    codebook.codebook_to_csv(cb, path, ("demo = 1",))
+    cli.codebook_to_csv(cb, path, ("demo = 1",))
     assert path.read_text().startswith("# demo = 1\nindex,y_m,z_m\n0,")
-    back = codebook.codebook_from_csv(path, ref_array, ref_scene).points
+    back = cli.codebook_from_csv(path, ref_array, ref_scene).points
     assert back.tobytes() == pts.tobytes()
 
 
@@ -170,20 +169,17 @@ def test_codebook_csv_round_trip_keeps_every_bit(tmp_path, ref_array, ref_scene)
                                     "small lattice"])
 def test_codebook_csv_formats_each_value_as_the_reference(tmp_path, ref_array,
                                                           ref_scene, points):
-    # a lattice's distinct coordinates are formatted once each, by bit
-    # pattern, so -0.0 keeps its sign next to 0.0; a rotated lattice repeats
-    # no coordinate and a small one has few rows, and their floats are
-    # written as they are
+    # distinct coordinates are formatted once each, by bit pattern, so -0.0
+    # keeps its sign next to 0.0; a lattice repeats few values, a rotated
+    # one repeats no coordinate and a small one has few rows
     sc = ref_scene.with_snr(1e4).with_snapshots(40)
     if points == "signed zeros":
         pts = [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.1, -0.0),
                (-1 / 3, 0.1), (0.1, 0.0)] * 10
         cb = codebook.make_codebook(pts, ref_array, sc)
-        assert len(cb) >= codebook._CSV_TEXT_FROM_J
     elif points == "small lattice":
         cb, _ = codebook.hexagonal_design(1e-3, sc.with_snr(100.0).with_snapshots(5),
                                           ref_array)
-        assert 1 < len(cb) < codebook._CSV_TEXT_FROM_J
     else:
         cb, _ = codebook.hexagonal_design(1e-3, sc, ref_array,
                                           rotation=0.3 if points == "rotated" else 0.0)
@@ -191,6 +187,6 @@ def test_codebook_csv_formats_each_value_as_the_reference(tmp_path, ref_array,
         assert len(cb) > 2000
         assert distinct > 2 * len(cb) - 10 if points == "rotated" else distinct < 400
     path = tmp_path / "cb.csv"
-    codebook.codebook_to_csv(cb, path, ("demo = 1",))
+    cli.codebook_to_csv(cb, path, ("demo = 1",))
     rows = [(i, y, z) for i, (y, z) in enumerate(cb.points.tolist())]
     assert path.read_text() == "# demo = 1\nindex,y_m,z_m\n" + reference_lines(rows)

@@ -49,3 +49,25 @@ def test_unused_imports_finds_an_unread_name():
 def test_module_reads_every_name_it_imports(name):
     path = Path(embcom.__file__).parent / f"{name}.py"
     assert unused_imports(path.read_text()) == []
+
+
+def reads_open(source: str) -> bool:
+    """Whether an expression in ``source`` reads the name ``open`` or an
+    attribute ``open`` (``io.open``, ``Path(p).open``)."""
+    return any(isinstance(node, ast.Name) and node.id == "open"
+               or isinstance(node, ast.Attribute) and node.attr == "open"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_reads_open_finds_a_call_and_a_method():
+    assert reads_open("with open(p, 'w') as fh:\n    pass\n")
+    assert reads_open("fh = Path(p).open()\n")
+    assert not reads_open("opened = reopen(p)\n")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_cli_opens_files(name):
+    # artifact files are the command line's business: the library computes,
+    # cli.py reads and writes every file
+    path = Path(embcom.__file__).parent / f"{name}.py"
+    assert reads_open(path.read_text()) == (name == "cli")
